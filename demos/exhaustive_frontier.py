@@ -5,7 +5,7 @@ threshold floor(n^2/4)+1 for small n.
 Every labeled graph with the given edge count is enumerated (bitmask subsets
 of the C(n,2) edge slots), so the reported minima are exact: min t hits
 floor(n/2) and min b stays above n/6 at every size scanned.  Pass --full to
-include n = 8 (21.5 million graphs, about a minute with two workers).
+include n = 8 (21.5 million graphs, a few seconds with two threads).
 """
 
 import argparse

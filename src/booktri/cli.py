@@ -38,6 +38,7 @@ from .search import (
     AnnealParams,
     alpha_sweep,
     anneal_min_triangles,
+    clamp_workers,
     extremal_scan,
     sweep_to_csv,
 )
@@ -98,15 +99,16 @@ def _dump(d: dict, fmt: str, out: str | None) -> None:
 
 
 def _threads(args) -> int:
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("BOOKTRI_THREADS")
-    if env:
+    requested = args.threads
+    if requested is None:
+        env = os.environ.get("BOOKTRI_THREADS")
+        if not env:
+            return 1
         try:
-            return max(1, int(env))
+            requested = int(env)
         except ValueError:
             raise _UsageError(f"bad BOOKTRI_THREADS value {env!r}")
-    return 1
+    return clamp_workers(requested, os.cpu_count())
 
 
 def _cmd_analyze(args) -> int:
@@ -225,7 +227,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--e", type=int, required=True)
     sp.add_argument("--mode", choices=("exhaustive", "anneal"), required=True)
     sp.add_argument("--threads", type=int, default=None,
-                    help="workers for exhaustive scans (or BOOKTRI_THREADS)")
+                    help="threads for exhaustive scans (or BOOKTRI_THREADS)")
     sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--book-cap", type=int, default=None,
                     help="strict upper bound on the largest book (anneal)")

@@ -27,7 +27,6 @@ from .errors import ParameterError
 from .graph import Graph, complete_bipartite
 
 __all__ = [
-    "ConstructionParams",
     "ConstructionReport",
     "rademacher_extremal",
     "theorem1_sharp",
@@ -54,17 +53,6 @@ def _strict_floor(x: Fraction) -> int:
     """Largest integer strictly below x."""
     fl = x.numerator // x.denominator
     return fl - 1 if x.denominator == 1 else fl
-
-
-@dataclass(frozen=True)
-class ConstructionParams:
-    """(n, alpha) pair with alpha held as an exact rational."""
-
-    n: int
-    alpha: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", as_alpha(self.alpha))
 
 
 @dataclass(frozen=True)

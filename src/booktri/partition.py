@@ -146,11 +146,12 @@ def bipartize_rewire(g: Graph) -> Graph:
 def local_max_cut(g: Graph, seed: Partition | None = None, count_scans: bool = False):
     """Improve a partition by single-vertex flips until none helps.
 
-    Vertices are scanned in index order and the first improving flip is
-    taken; the scan restarts until a full pass makes no move.  At the fixed
-    point every vertex has at least as many neighbors across the cut as on
-    its own side.  Each flip raises cross_edges by at least 1, so there are
-    at most m improving passes.  Defaults to the all-X start.
+    Each pass visits the vertices in index order and flips every vertex
+    whose flip improves the cut at that moment; passes repeat until one
+    makes no move.  At the fixed point every vertex has at least as many
+    neighbors across the cut as on its own side.  Each flip raises
+    cross_edges by at least 1, so there are at most m improving passes.
+    Defaults to the all-X start.
 
     With count_scans=True returns (partition, improving_passes).
     """

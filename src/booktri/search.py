@@ -1,11 +1,11 @@
 """Exhaustive and heuristic search over graphs with a fixed edge count.
 
-Exhaustive scans enumerate every labeled graph on n vertices with exactly e
-edges (n <= 8 unless forced) as bitmasks over the C(n,2) edge slots, in
-lexicographic order of the edge subset, and reduce the (max book, triangles)
-pairs to a Pareto frontier with one witness per frontier point.  The rank
-space partitions into contiguous ranges, so scans parallelize across
-processes with an order-independent merge.
+Exhaustive scans cover every labeled graph on n <= 8 vertices with exactly e
+edges and reduce the (max book, triangles) pairs to a Pareto frontier with
+one witness per frontier point: the first graph achieving it in lexicographic
+order of the edge subset.  The scan is one numpy kernel over blocks of edge
+masks, run on threads of one process; the record does not depend on the
+thread count.
 
 Annealing walks the same fixed-edge-count space with single edge swaps,
 rejecting any state whose largest book reaches the cap, and reports the best
@@ -16,7 +16,8 @@ true minimum, never proofs.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -28,6 +29,7 @@ from .analytics import max_book
 from .codec import to_graph6
 from .constructions import (
     ConstructionReport,
+    _strict_floor,
     as_alpha,
     edwards_generalized,
     rademacher_extremal,
@@ -39,7 +41,7 @@ from .graph import Graph
 EXHAUSTIVE_VERTEX_LIMIT = 8
 RNG_ALGORITHM = "numpy-pcg64"
 
-_CHUNK = 1 << 19
+_BLOCK = 1 << 18  # graphs per scan block; bounds the memory of each thread
 
 
 # -- edge-slot geometry ----------------------------------------------------
@@ -63,102 +65,40 @@ def graph_from_edge_mask(n: int, mask: int) -> Graph:
     return g
 
 
-def edge_mask_of(g: Graph) -> int:
-    index = {e: i for i, e in enumerate(edge_slots(g.n))}
-    mask = 0
-    for e in g.edges():
-        mask |= 1 << index[e]
-    return mask
-
-
-def unrank_combination(rank: int, total: int, k: int) -> list[int]:
-    """The rank-th k-subset of range(total) in lexicographic order."""
-    if not 0 <= rank < math.comb(total, k):
-        raise ParameterError(f"rank {rank} outside 0..C({total},{k})-1")
-    combo = []
-    x = 0
-    for i in range(k):
-        while True:
-            c = math.comb(total - 1 - x, k - 1 - i)
-            if c > rank:
-                break
-            rank -= c
-            x += 1
-        combo.append(x)
-        x += 1
-    return combo
-
-
-def rank_of_combination(combo: Sequence[int], total: int) -> int:
-    k = len(combo)
-    rank = 0
-    prev = -1
-    for i, c in enumerate(combo):
-        for x in range(prev + 1, c):
-            rank += math.comb(total - 1 - x, k - 1 - i)
-        prev = c
-    return rank
-
-
-def _guard(n: int, e: int, force: bool) -> int:
+def _guard(n: int, e: int) -> int:
     slots = math.comb(n, 2)
-    if not 0 <= e <= slots:
-        raise ParameterError(f"edge count {e} outside 0..{slots} for n={n}")
-    if n > EXHAUSTIVE_VERTEX_LIMIT and not force:
+    if n > EXHAUSTIVE_VERTEX_LIMIT:
         raise ExplosionGuardError(
             f"refusing exhaustive enumeration at n={n} > {EXHAUSTIVE_VERTEX_LIMIT} "
-            f"(C({slots},{e}) graphs); force=True overrides, at your own risk"
+            f"(C({slots},{e}) graphs)"
         )
+    if not 0 <= e <= slots:
+        raise ParameterError(f"edge count {e} outside 0..{slots} for n={n}")
     return slots
 
 
-def enumerate_fixed_edges(
-    n: int,
-    e: int,
-    force: bool = False,
-    start: int = 0,
-    stop: int | None = None,
-) -> Iterator[Graph]:
+def enumerate_fixed_edges(n: int, e: int) -> Iterator[Graph]:
     """Every labeled n-vertex graph with exactly e edges, each exactly once,
     in lexicographic order of its edge subset.
 
-    start/stop select a contiguous rank range (stop exclusive), which is how
-    parallel scans partition the space.
+    Graphs are built edge by edge from itertools.combinations, independently
+    of the scan kernel, so this is the reference the scan is checked against.
     """
-    slots = _guard(n, e, force)
-    total = math.comb(slots, e)
-    stop = total if stop is None else min(stop, total)
-    if start < 0 or start > total:
-        raise ParameterError(f"start rank {start} outside 0..{total}")
-    if e == 0:
-        if start == 0 and stop > 0:
-            yield Graph(n)
-        return
-    if start >= stop:
-        return
-    first = unrank_combination(start, slots, e)
+    slots = _guard(n, e)
     table = edge_slots(n)
-    count = stop - start
-    c = first
-    emitted = 0
-    while True:
+    for combo in combinations(range(slots), e):
         g = Graph(n)
-        for i in c:
-            u, v = table[i]
-            g.adj[u] |= 1 << v
-            g.adj[v] |= 1 << u
-        g.m = e
+        for i in combo:
+            g.add_edge(*table[i])
         yield g
-        emitted += 1
-        if emitted == count:
-            return
-        # lexicographic successor
-        j = e - 1
-        while c[j] == slots - e + j:
-            j -= 1
-        c[j] += 1
-        for jj in range(j + 1, e):
-            c[jj] = c[jj - 1] + 1
+
+
+def clamp_workers(requested: int, cpus: int | None, jobs: int | None = None) -> int:
+    """Worker count clamped to [1, min(cpus, jobs)]; unknown cpus count as 1."""
+    top = cpus or 1
+    if jobs is not None:
+        top = min(top, jobs)
+    return max(1, min(requested, top))
 
 
 # -- frontier record ---------------------------------------------------------
@@ -222,125 +162,89 @@ class FrontierRecord:
 # -- exhaustive scan ---------------------------------------------------------
 
 
-def _scan_tables(n: int):
-    slots = edge_slots(n)
-    index = {e: i for i, e in enumerate(slots)}
-    tri_masks = []
-    for a, b, c in combinations(range(n), 3):
-        tri_masks.append(
-            (1 << index[(a, b)]) | (1 << index[(a, c)]) | (1 << index[(b, c)])
-        )
-    tri = np.array(tri_masks, dtype=np.uint32)
-    inc = np.zeros((len(tri_masks), len(slots)), dtype=np.float32)
-    for t, m in enumerate(tri_masks):
-        while m:
-            low = m & -m
-            inc[t, low.bit_length() - 1] = 1.0
-            m ^= low
-    return tri, inc
+def _half(n: int, slots: int, shift: int, width: int):
+    """Tables for mask bits shift..shift+width-1: the half-masks of each
+    popcount in descending order, and the n vertex rows each half-mask sets.
+
+    Slot i of edge_slots(n) sits at mask bit slots-1-i, so lexicographic
+    order of edge subsets is descending mask order (Knuth, TAOCP 4A
+    7.2.1.3).
+    """
+    table = edge_slots(n)
+    masks = np.arange(1 << width, dtype=np.uint32)
+    rows = np.zeros((n, masks.size), dtype=np.uint8)
+    for j in range(width):
+        bit = ((masks >> j) & 1).astype(np.uint8)
+        u, v = table[slots - 1 - shift - j]
+        rows[u] |= bit << v
+        rows[v] |= bit << u
+    pops = np.bitwise_count(masks)
+    return [masks[pops == k][::-1] for k in range(width + 1)], rows
 
 
-def _scan_range(args) -> tuple[dict, int]:
-    """Scan ranks [start, stop); returns ({(b,t): (rank, mask)}, scanned)."""
-    n, e, start, stop = args
-    slots = math.comb(n, 2)
-    tri, inc = _scan_tables(n)
-    shifts = np.arange(slots, dtype=np.uint32)
-
-    best: dict[tuple[int, int], tuple[int, int]] = {}
-    if e == 0:
-        if start == 0 and stop > 0:
-            best[(0, 0)] = (0, 0)
-        return best, max(stop - start, 0)
-
-    c = unrank_combination(start, slots, e)
-    mask = 0
-    for i in c:
-        mask |= 1 << i
-    buf = np.empty(_CHUNK, dtype=np.uint32)
-    done = start
-    top = slots - e
-    while done < stop:
-        k = min(_CHUNK, stop - done)
-        for i in range(k):
-            buf[i] = mask
-            j = e - 1
-            if c[j] < slots - 1:
-                mask ^= 1 << c[j]
-                c[j] += 1
-                mask |= 1 << c[j]
-            else:
-                while j >= 0 and c[j] == top + j:
-                    j -= 1
-                if j < 0:
-                    break  # last combination emitted
-                mask ^= 1 << c[j]
-                c[j] += 1
-                mask |= 1 << c[j]
-                for jj in range(j + 1, e):
-                    mask ^= 1 << c[jj]
-                    c[jj] = c[jj - 1] + 1
-                    mask |= 1 << c[jj]
-        m = buf[:k]
-        pres = (m[:, None] & tri[None, :]) == tri[None, :]
-        t_counts = pres.sum(axis=1, dtype=np.int32)
-        books = pres.astype(np.float32) @ inc
-        epres = ((m[:, None] >> shifts[None, :]) & 1).astype(np.float32)
-        b_counts = (books * epres).max(axis=1).astype(np.int32)
-        keys = b_counts * 4096 + t_counts
-        uniq, first = np.unique(keys, return_index=True)
-        for key, fi in zip(uniq.tolist(), first.tolist()):
-            pair = (key >> 12, key & 4095)
-            rank = done + fi
-            prev = best.get(pair)
-            if prev is None or prev[0] > rank:
-                best[pair] = (rank, int(m[fi]))
-        done += k
-    return best, stop - start
-
-
-def extremal_scan(n: int, e: int, threads: int = 1, force: bool = False) -> FrontierRecord:
+def extremal_scan(n: int, e: int, threads: int = 1) -> FrontierRecord:
     """Exact minima and Pareto frontier of (b, t) over every labeled graph
     with n vertices and e edges.
 
-    Witnesses are the lowest-rank graphs achieving each frontier pair, so the
-    record is identical for any thread count.
+    Each e-edge mask is a high half OR a low half.  A block pairs a slice of
+    the high halves of popcount h with every low half of popcount e-h, both
+    in descending order, so the block itself is in rank order.  Codegrees
+    come from popcounts of ANDed vertex rows; each block keeps its first
+    graph per pair of its local Pareto set, and merging keeps the largest
+    mask, i.e. the lowest rank.  The record is identical for any thread
+    count.
     """
-    slots = _guard(n, e, force)
-    total = math.comb(slots, e)
-    threads = max(1, int(threads))
+    slots = _guard(n, e)
+    low = slots // 2
+    hi_masks, hi_rows = _half(n, slots, low, slots - low)
+    lo_masks, lo_rows = _half(n, slots, 0, low)
+    edges = edge_slots(n)
 
     jobs = []
-    if threads == 1 or total < 2 * _CHUNK:
-        merged, scanned = _scan_range((n, e, 0, total))
-    else:
-        step = -(-total // threads)
-        for lo in range(0, total, step):
-            jobs.append((n, e, lo, min(lo + step, total)))
-        merged: dict[tuple[int, int], tuple[int, int]] = {}
-        scanned = 0
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            for part, count in pool.map(_scan_range, jobs):
-                scanned += count
-                for pair, entry in part.items():
-                    prev = merged.get(pair)
-                    if prev is None or prev[0] > entry[0]:
-                        merged[pair] = entry
+    for h in range(max(0, e - low), min(e, slots - low) + 1):
+        his, los = hi_masks[h], lo_masks[e - h]
+        step = max(1, _BLOCK // los.size)
+        jobs.extend((his[i : i + step], los) for i in range(0, his.size, step))
 
-    pairs = list(merged)
-    frontier = pareto_min(pairs)
+    def scan_block(job) -> dict[tuple[int, int], int]:
+        his, los = job
+        rows = hi_rows[:, his][:, :, None] | lo_rows[:, los][:, None, :]
+        tri3 = np.zeros(rows.shape[1:], dtype=np.uint8)  # n <= 8: 3t <= 168
+        book = np.zeros_like(tri3)
+        for u, v in edges:
+            c = np.bitwise_count(rows[u] & rows[v]) * ((rows[u] >> v) & 1)
+            tri3 += c
+            np.maximum(book, c, out=book)
+        key = (book.astype(np.uint16) << 8 | tri3).ravel()
+        present = np.flatnonzero(np.bincount(key)).tolist()
+        found = {(k >> 8, (k & 255) // 3): k for k in present}
+        out = {}
+        for pair in pareto_min(found):
+            row, col = divmod(int(np.argmax(key == found[pair])), los.size)
+            out[pair] = int(his[row]) << low | int(los[col])
+        return out
+
+    best: dict[tuple[int, int], int] = {}
+    with ThreadPoolExecutor(clamp_workers(threads, os.cpu_count(), len(jobs))) as pool:
+        for part in pool.map(scan_block, jobs):
+            for pair, mask in part.items():
+                best[pair] = max(mask, best.get(pair, 0))
+
+    frontier = pareto_min(best)
     witnesses = [
-        to_graph6(graph_from_edge_mask(n, merged[p][1])) for p in frontier
+        # bit slots-1-i of a scan mask is slot i; graph_from_edge_mask wants bit i
+        to_graph6(graph_from_edge_mask(n, int(f"{best[p]:0{slots}b}"[::-1], 2)))
+        for p in frontier
     ]
     return FrontierRecord(
         n=n,
         e=e,
         mode="exhaustive",
-        min_t=min(t for _, t in pairs),
-        min_b=min(b for b, _ in pairs),
+        min_t=min(t for _, t in best),
+        min_b=min(b for b, _ in best),
         pareto=frontier,
         witnesses=witnesses,
-        scanned=scanned,
+        scanned=math.comb(slots, e),
     )
 
 
@@ -541,9 +445,7 @@ class SweepEntry:
 
 def strict_book_cap(n: int, alpha: Fraction) -> int:
     """Smallest integer cap with (b < cap) equivalent to (b < alpha*n/2)."""
-    x = alpha * n / 2
-    fl = x.numerator // x.denominator
-    return fl if x.denominator == 1 else fl + 1
+    return _strict_floor(alpha * n / 2) + 1
 
 
 def alpha_sweep(
@@ -560,7 +462,7 @@ def alpha_sweep(
     bipartite-plus-edge family when its book fits the cap), and an annealing
     run seeded by the best in-class generator tries to improve on them.
     Generators whose book meets the cap are preferred; when none does (the
-    cap can sit at or below the forced book minimum at small n) the entry
+    cap can sit at or below the least largest book of the class at small n) the entry
     falls back to the best applicable generator, whose book then touches
     the cap boundary.  The tripartite family carries floor(n^2/4) edges,
     one below the threshold class, so for alpha < 1/2 annealing is skipped

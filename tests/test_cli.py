@@ -111,6 +111,8 @@ def test_frontier_exhaustive(tmp_path, capsys):
 
 def test_frontier_guard_exits_4(capsys):
     assert main(["frontier", "--n", "9", "--e", "21", "--mode", "exhaustive"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("guard: ") and err.count("\n") == 1
 
 
 def test_frontier_anneal_requires_seed(capsys):

@@ -168,13 +168,6 @@ def test_hypothesis_compliance_grids():
             assert r.predicted_b < alpha * n / 2
 
 
-def test_construction_params_coercion():
-    p = bt.ConstructionParams(20, "7/10")
-    assert p.alpha == Fraction(7, 10)
-    with pytest.raises(bt.ParameterError):
-        bt.ConstructionParams(20, 0.7)
-
-
 def test_report_json_dict():
     d = bt.rademacher_extremal(10).to_json_dict()
     assert d["e"] == 26 and d["measured_t"] == 5 and d["measured_b"] == 5

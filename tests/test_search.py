@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import random
@@ -7,7 +8,6 @@ from itertools import combinations
 import pytest
 
 import booktri as bt
-from booktri.search import rank_of_combination, unrank_combination
 from conftest import brute_max_book, brute_triangle_count
 
 
@@ -37,27 +37,9 @@ def test_enumerate_unique_and_ordered():
     assert combos == list(combinations(range(10), 4))
 
 
-def test_enumerate_rank_ranges_stitch():
-    full = [bt.to_graph6(g) for g in bt.enumerate_fixed_edges(5, 3)]
-    pieces = []
-    for lo, hi in ((0, 40), (40, 41), (41, 120), (120, 999)):
-        pieces.extend(
-            bt.to_graph6(g) for g in bt.enumerate_fixed_edges(5, 3, start=lo, stop=hi)
-        )
-    assert pieces == full
-
-
-def test_unrank_rank_roundtrip():
-    combos = list(combinations(range(8), 3))
-    for rank, combo in enumerate(combos):
-        assert unrank_combination(rank, 8, 3) == list(combo)
-        assert rank_of_combination(combo, 8) == rank
-
-
 def test_enumerate_guard():
     with pytest.raises(bt.ExplosionGuardError):
         list(bt.enumerate_fixed_edges(9, 21))
-    assert sum(1 for _ in bt.enumerate_fixed_edges(9, 1, force=True)) == 36
 
 
 def test_enumerate_bad_edge_count():
@@ -82,7 +64,10 @@ def _oracle_scan(n, e):
     }
 
 
-@pytest.mark.parametrize("n,e", [(5, 7), (6, 10)])
+@pytest.mark.parametrize(
+    "n,e",
+    [(5, 7), (6, 10)] + [(n, e) for n in range(1, 5) for e in (0, math.comb(n, 2))],
+)
 def test_extremal_scan_matches_oracle(n, e):
     record = bt.extremal_scan(n, e)
     oracle = _oracle_scan(n, e)
@@ -122,9 +107,58 @@ def test_frontier_monotone_under_cap():
     assert record.min_t_under_cap(0) is None
 
 
+# sha256 of each record's canonical JSON, taken from the scan before its
+# rewrite onto the popcount kernel; scan output must never change.
+SCAN_PINS = {
+    "7,0": "5c6dd5f456a1640d76d3c8ad7343fae1e56a4a98ac0bc5bb7cb0eeb44334599f",
+    "7,1": "42649ba77a2767e8400888ab8a6fa0cdb8b8453214a81fe5574225564cdedd99",
+    "7,2": "57e6d5bf6516be00f29ded9ffc8b06091e967419ac0372bb12e8725e5154eccb",
+    "7,3": "8d3aacb4d531928acf1f48d3f53a5ab78be7bdcca05b78f17ec6ec60e72aba8d",
+    "7,4": "28b6bb55fec06a7f5415008525bd63c2801503b16d5a03184d01eb5965d95a7b",
+    "7,5": "02ba8f9ec61fa189b409ef761117a028460eca6a3493fbee91bb3eec495be42f",
+    "7,6": "7c95c57b71b95bf4077df7b2763682f3a3c562ce873315655055ef73dcf6e56b",
+    "7,7": "a73ade2af41cd24d024c132b07ae9fc4ee40ad7ba298d39e5fa3de7772368089",
+    "7,8": "eb8ff5b0f35cb0494af5950c85b2d921034bcef25d4834ae20537e594ad431b1",
+    "7,9": "1804cc26e8b9ff0ea8ea7e29871f3f5ee30ccda0996001c5d30dda27d7430c8b",
+    "7,10": "73349defdad2190da34db6ba00480734945f0f136c7241424b12657ff0413ecc",
+    "7,11": "f0e22e81639eaaa6ab8d67628028cca2f66c166845d60028fc9cee6f9702abc3",
+    "7,12": "eede36a91bb6135afbda555f8017eab36150a3a27131c8b6177d13ee16f415f0",
+    "7,13": "c0ca13d7c4b9b31d15fb1785fdeb2bf47a236aa24b4cc5e94ebe469557dbfb21",
+    "7,14": "93b851a7562e01cb900db47ccf9f7646202e1503c6bc13d67de2f8d680c606f1",
+    "7,15": "18d91226d75ce09ec01d912fc042bb348b552761be08f4bb3b411a294a512428",
+    "7,16": "a03636f10abf8cf1d1916c479904369c543dfb38c945002e61d816be746001e8",
+    "7,17": "7a46ab3f820fbaa42e5f2c831998dbada1c4c410861bf4ddbd5f1eecdeb40a29",
+    "7,18": "c63b6bd1fd05cfdaf0cb358fb4fbdc826b6681461ae2f5f1729dd90bb2f2ac90",
+    "7,19": "334a75c65d3b4b6ce5edaea20fd88b6657301e870b02301d60c77fc6604a963c",
+    "7,20": "6d7172d2ab8490d3eb0f7d3ebf0164761e1f187def9be22aa57e527a3c51a848",
+    "7,21": "015f01eb915f8846d307c31ed97f81415e21b53b98cd7d4172cc62762cc26ce3",
+    "8,7": "04e5a96300d77d34ca9e68e7d92c33eec21dab684e4e2d419d6bc3596941d0bb",
+    "8,21": "da6e66dc230ebc1ab19095c7db31fb5f91715010056bc8dd43821325bef7d95e",
+}
+
+
+def test_extremal_scan_golden_pins():
+    for key, digest in SCAN_PINS.items():
+        n, e = map(int, key.split(","))
+        record = bt.extremal_scan(n, e, threads=2)
+        blob = json.dumps(record.to_json_dict(), sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(blob.encode("ascii")).hexdigest() == digest, key
+
+
 def test_scan_guard():
-    with pytest.raises(bt.ExplosionGuardError):
-        bt.extremal_scan(9, 21)
+    for e in range(-1, 38):
+        with pytest.raises(bt.ExplosionGuardError):
+            bt.extremal_scan(9, e)
+
+
+def test_clamp_workers():
+    clamp = bt.search.clamp_workers
+    assert clamp(4, 8) == 4
+    assert clamp(10**9, 8) == 8
+    assert clamp(10**9, 8, jobs=3) == 3
+    assert clamp(10**9, 10**9, jobs=10**9) == 10**9
+    assert clamp(0, 8) == clamp(-5, 8) == clamp(-(10**9), 8, jobs=3) == 1
+    assert clamp(4, None) == clamp(4, 8, jobs=0) == 1
 
 
 def test_anneal_reaches_exhaustive_minimum():
@@ -229,4 +263,6 @@ def test_graph_from_edge_mask_roundtrip():
         slots = math.comb(n, 2)
         mask = rng.getrandbits(slots)
         g = bt.graph_from_edge_mask(n, mask)
-        assert bt.search.edge_mask_of(g) == mask
+        table = bt.search.edge_slots(n)
+        assert sorted(g.edges()) == [table[i] for i in range(slots) if mask >> i & 1]
+        assert g.m == bin(mask).count("1")
