@@ -23,15 +23,7 @@ from .constructions import (
     rademacher_extremal,
     theorem1_sharp,
 )
-from .errors import (
-    BooktriError,
-    EdgeListParseError,
-    ExplosionGuardError,
-    Graph6ParseError,
-    GraphSizeError,
-    NotTriangleFreeError,
-    ParameterError,
-)
+from .errors import BooktriError, EdgeListParseError
 from .graph import Graph
 from .partition import bipartize_rewire, stability_partition
 from .search import (
@@ -49,6 +41,14 @@ EXIT_PARSE = 2
 EXIT_HYPOTHESIS = 3
 EXIT_GUARD = 4
 
+# the one-line message prefix for each exit code of a BooktriError
+_LABELS = {
+    EXIT_USAGE: "error",
+    EXIT_PARSE: "parse error",
+    EXIT_HYPOTHESIS: "hypothesis violation",
+    EXIT_GUARD: "guard",
+}
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2; we use 1
@@ -65,8 +65,14 @@ def _load_graph(path: str) -> Graph:
         with open(path, "rb") as fh:
             return from_graph6(fh.read())
     if path.endswith(".el"):
-        with open(path, "r", encoding="ascii") as fh:
-            return from_edge_list_text(fh.read())
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        try:
+            text = raw.decode("ascii")
+        except UnicodeDecodeError as exc:
+            line = raw.count(b"\n", 0, exc.start) + 1
+            raise EdgeListParseError(f"non-ASCII byte {raw[exc.start]:#04x}", line) from None
+        return from_edge_list_text(text)
     raise _UsageError(f"cannot detect format of {path!r}: expected .g6 or .el")
 
 
@@ -261,29 +267,12 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (Graph6ParseError, EdgeListParseError) as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except NotTriangleFreeError as exc:
-        u, v, w = exc.witness
-        print(f"hypothesis violation: not triangle-free, witness {u} {v} {w}",
-              file=sys.stderr)
-        return EXIT_HYPOTHESIS
-    except ExplosionGuardError as exc:
-        print(f"guard: {exc}", file=sys.stderr)
-        return EXIT_GUARD
-    except (ParameterError, GraphSizeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except BooktriError as exc:
+        print(f"{_LABELS[exc.exit_code]}: {exc}", file=sys.stderr)
+        return exc.exit_code
+    except (_UsageError, OSError) as exc:  # OSError: a missing, unreadable or directory path
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

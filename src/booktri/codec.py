@@ -42,8 +42,19 @@ def to_graph6(g: Graph) -> str:
 
 
 def from_graph6(data: str | bytes) -> Graph:
+    """Decode graph6 bytes, or a str of ASCII characters.
+
+    Graph6ParseError offsets count from the start of the payload once
+    surrounding whitespace and any ">>graph6<<" header are dropped; a
+    non-ASCII character in a str is reported at its index in the str.
+    """
     if isinstance(data, str):
-        data = data.encode("ascii", errors="replace")
+        try:
+            data = data.encode("ascii")
+        except UnicodeEncodeError as exc:
+            raise Graph6ParseError(
+                f"non-ASCII character {data[exc.start]!r}", exc.start
+            ) from None
     data = data.strip()
     if data.startswith(_HEADER):
         data = data[len(_HEADER):].strip()

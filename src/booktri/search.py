@@ -9,8 +9,11 @@ thread count.
 
 Annealing walks the same fixed-edge-count space with single edge swaps,
 rejecting any state whose largest book reaches the cap, and reports the best
-feasible states seen.  Heuristic results are empirical upper bounds on the
-true minimum, never proofs.
+feasible states seen.  It keeps the book of every present edge, a histogram
+of book sizes and the current (t, b), and updates them along the common
+neighbourhoods of the swapped edges, so a proposal costs O(codegree), not
+O(m).  Heuristic results are empirical upper bounds on the true minimum,
+never proofs.
 """
 
 from __future__ import annotations
@@ -66,6 +69,8 @@ def graph_from_edge_mask(n: int, mask: int) -> Graph:
 
 
 def _guard(n: int, e: int) -> int:
+    if n < 1:
+        raise ParameterError(f"vertex count {n} must be at least 1")
     slots = math.comb(n, 2)
     if n > EXHAUSTIVE_VERTEX_LIMIT:
         raise ExplosionGuardError(
@@ -257,7 +262,8 @@ class AnnealParams:
 
     book_cap is a strict upper bound: states with max book >= book_cap are
     rejected outright, keeping the whole walk inside the capped class.
-    Temperature decays geometrically per proposal.
+    Temperature decays geometrically per proposal.  A proposal costs
+    O(codegree) whatever the edge count (see anneal_min_triangles).
     """
 
     book_cap: int
@@ -276,33 +282,20 @@ class AnnealParams:
             raise ParameterError("seed must fit in 64 bits")
 
 
-def _graph_stats(g: Graph) -> tuple[int, int]:
-    """(t, b) in one pass of codegrees over the present edges."""
-    adj = g.adj
-    total = 0
-    best = 0
-    for u in range(g.n):
-        row = adj[u]
-        high = row >> (u + 1)
-        base = u + 1
-        while high:
-            low = high & -high
-            c = (row & adj[base + low.bit_length() - 1]).bit_count()
-            total += c
-            if c > best:
-                best = c
-            high ^= low
-    return total // 3, best
-
-
 def anneal_min_triangles(n: int, e: int, params: AnnealParams) -> FrontierRecord:
     """Minimize the triangle count over graphs with exactly e edges and max
     book below params.book_cap, by Metropolis annealing on single edge swaps.
 
-    A move removes one uniformly random present edge and adds one uniformly
-    random edge absent from the pre-move state.  Runs are reproducible from
-    the seed (PCG64); the record carries the generator id, seed, and knobs.
-    The reported values are upper bounds for the capped minimum, not proofs.
+    A move removes one uniformly random present edge r and adds one
+    uniformly random edge a absent from the pre-move state.  The walk keeps
+    the bitset rows, the book of every present edge, a histogram of book
+    sizes and the current (t, b).  A move changes t by the book of a after r
+    is gone minus the book of r, and only the edges in a triangle with r
+    (one less) or with a (one more) change book, so a proposal costs
+    O(codegree) rather than O(m); a rejected proposal changes no state.
+    Runs are reproducible from the seed (PCG64); the record carries the
+    generator id, seed, and knobs.  The reported values are upper bounds
+    for the capped minimum, not proofs.
     """
     slots_list = edge_slots(n)
     slots = len(slots_list)
@@ -354,22 +347,63 @@ def anneal_min_triangles(n: int, e: int, params: AnnealParams) -> FrontierRecord
         pos[slot] = len(pool)
         pool.append(slot)
 
-    cur_t, cur_b = _graph_stats(g)
+    # book[u][v] is the book of edge (u, v) while it is present; hist[c]
+    # counts the present edges with book c
+    adj = g.adj
+    book = [[0] * n for _ in range(n)]
+    hist = [0] * n
+    for u, v in g.edges():
+        c = (adj[u] & adj[v]).bit_count()
+        book[u][v] = book[v][u] = c
+        hist[c] += 1
+    cur_t = sum(c * k for c, k in enumerate(hist)) // 3
+    cur_b = max((c for c, k in enumerate(hist) if k), default=0)
 
-    # per-b best t with first-seen witness; pruned to an antichain at the end
-    best_by_b: dict[int, tuple[int, int, str]] = {}
+    def shift(x, y, mask, d) -> int:
+        """Add d to the books of (x, w) and (y, w) for w in mask; return the
+        largest new book."""
+        hi = 0
+        while mask:
+            low = mask & -mask
+            w = low.bit_length() - 1
+            bw = book[w]
+            for z in (x, y):
+                old = bw[z]
+                bw[z] = book[z][w] = old + d
+                hist[old] -= 1
+                hist[old + d] += 1
+                if old + d > hi:
+                    hi = old + d
+            mask ^= low
+        return hi
 
-    def record_state(t, b, step):
+    # per-b best t with the rows of its first-seen state; encoded at the end
+    best_by_b: dict[int, tuple[int, tuple[int, ...]]] = {}
+
+    def record_state(t, b):
         prev = best_by_b.get(b)
         if prev is None or t < prev[0]:
-            best_by_b[b] = (t, step, to_graph6(g))
+            best_by_b[b] = (t, tuple(adj))
 
-    record_state(cur_t, cur_b, 0)
+    cap = params.book_cap
+    top = cap - 1  # a book at top reaches the cap with one more triangle
+
+    def any_at_top(x, mask) -> bool:
+        """Whether some edge (x, w), w in mask, has book top."""
+        bx = book[x]
+        while mask:
+            low = mask & -mask
+            if bx[low.bit_length() - 1] == top:
+                return True
+            mask ^= low
+        return False
+
+    record_state(cur_t, cur_b)
     temp = params.t0
 
     # with all or no slots occupied the space is a single graph: nothing to swap
     steps = params.budget if present and absent else 0
-    for step in range(1, steps + 1):
+    for _ in range(steps):
         ri = int(rng.integers(0, len(present)))
         ai = int(rng.integers(0, len(absent)))
         rem_slot = present[ri]
@@ -377,13 +411,33 @@ def anneal_min_triangles(n: int, e: int, params: AnnealParams) -> FrontierRecord
         ru, rv = slots_list[rem_slot]
         au, av = slots_list[add_slot]
 
-        g.remove_edge(ru, rv)
-        g.add_edge(au, av)
-        nxt_t, nxt_b = _graph_stats(g)
+        # common neighbourhood of a once r is gone: r shares at most one
+        # endpoint with a, and then only r's other endpoint leaves it
+        rem = (1 << ru) | (1 << rv)
+        common = adj[au] & adj[av]
+        if rem & ((1 << au) | (1 << av)):
+            common &= ~rem
+        c = common.bit_count()
+
+        # before the move every book is below the cap; after it only a's own
+        # book and the books of (x, w), x in a, w in common, can grow, by one,
+        # unless (x, w) also lost the triangle it shared with r
+        feasible = c < cap
+        if feasible and cur_b == top and common:
+            lost = adj[ru] & adj[rv]
+            for x in (au, av):
+                gain = common
+                if (rem >> x) & 1:
+                    gain &= ~lost
+                elif (lost >> x) & 1:
+                    gain &= ~rem
+                if any_at_top(x, gain):
+                    feasible = False
+                    break
 
         accept = False
-        if nxt_b < params.book_cap:
-            delta = nxt_t - cur_t
+        if feasible:
+            delta = c - book[ru][rv]
             if delta <= 0:
                 accept = True
             else:
@@ -393,23 +447,34 @@ def anneal_min_triangles(n: int, e: int, params: AnnealParams) -> FrontierRecord
             push(present, present_pos, add_slot)
             remove_from(absent, absent_pos, add_slot)
             push(absent, absent_pos, rem_slot)
-            cur_t, cur_b = nxt_t, nxt_b
-            record_state(cur_t, cur_b, step)
-        else:
-            g.remove_edge(au, av)
-            g.add_edge(ru, rv)
+            hist[book[ru][rv]] -= 1
+            shift(ru, rv, adj[ru] & adj[rv], -1)
+            adj[ru] ^= 1 << rv
+            adj[rv] ^= 1 << ru
+            adj[au] |= 1 << av
+            adj[av] |= 1 << au
+            hi = max(c, shift(au, av, common, 1))
+            book[au][av] = book[av][au] = c
+            hist[c] += 1
+            cur_t += delta
+            if hi > cur_b:
+                cur_b = hi
+            while not hist[cur_b]:
+                cur_b -= 1
+            record_state(cur_t, cur_b)
         temp *= params.decay
 
-    states = [(b, t, step, g6) for b, (t, step, g6) in best_by_b.items()]
-    frontier = pareto_min([(b, t) for b, t, _, _ in states])
-    by_pair = {(b, t): (step, g6) for b, t, step, g6 in states}
-    witnesses = [by_pair[p][1] for p in frontier]
+    frontier = pareto_min((b, t) for b, (t, _) in best_by_b.items())
+    witnesses = []
+    for b, _ in frontier:
+        g.adj = list(best_by_b[b][1])
+        witnesses.append(to_graph6(g))
     return FrontierRecord(
         n=n,
         e=e,
         mode="heuristic",
-        min_t=min(t for _, t, _, _ in states),
-        min_b=min(b for b, _, _, _ in states),
+        min_t=min(t for _, t in frontier),
+        min_b=min(b for b, _ in frontier),
         pareto=frontier,
         witnesses=witnesses,
         scanned=steps + 1,

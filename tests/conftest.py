@@ -7,9 +7,12 @@ triples, so tests compare two independent routes to the same quantity.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
+
+import numpy as np
 
 import booktri as bt
 
@@ -108,3 +111,107 @@ def sharp_split_exists(n: int, alpha: Fraction) -> bool:
     cap = alpha * n / 2
     s = -(-cap.numerator // cap.denominator) - 1
     return 2 * s >= n // 2 + 1
+
+
+def anneal_reference(n: int, e: int, params: bt.AnnealParams) -> bt.FrontierRecord:
+    """The annealer as it was before its incremental rewrite: every proposal
+    applies the swap to the graph, recounts t and b from scratch with the
+    set-based oracles above, and undoes the swap if it is rejected.  Same
+    draws in the same order, so it must return the same record."""
+    search = bt.search
+    slots_list = search.edge_slots(n)
+    slots = len(slots_list)
+    if not 0 <= e <= slots:
+        raise bt.ParameterError(f"edge count {e} outside 0..{slots} for n={n}")
+    rng = np.random.Generator(np.random.PCG64(params.seed))
+
+    if params.init is not None:
+        if params.init.n != n or params.init.m != e:
+            raise bt.ParameterError("init does not match (n, e)")
+        g = params.init.copy()
+        if brute_max_book(g) >= params.book_cap:
+            raise bt.ParameterError("init violates book cap")
+    else:
+        g = None
+        for _ in range(200):
+            chosen = rng.choice(slots, size=e, replace=False)
+            cand = bt.new_graph(n)
+            for idx in chosen:
+                cand.add_edge(*slots_list[int(idx)])
+            if brute_max_book(cand) < params.book_cap:
+                g = cand
+                break
+        if g is None:
+            raise bt.ParameterError("no feasible random start")
+
+    index = {s: i for i, s in enumerate(slots_list)}
+    present = [index[ed] for ed in g.edges()]
+    present_pos = {s: i for i, s in enumerate(present)}
+    absent = [i for i in range(slots) if i not in present_pos]
+    absent_pos = {s: i for i, s in enumerate(absent)}
+
+    def remove_from(pool, pos, slot):
+        i = pos.pop(slot)
+        last = pool.pop()
+        if i < len(pool):
+            pool[i] = last
+            pos[last] = i
+
+    def push(pool, pos, slot):
+        pos[slot] = len(pool)
+        pool.append(slot)
+
+    def stats():
+        return brute_triangle_count(g), brute_max_book(g)
+
+    best_by_b = {}
+
+    def record_state(t, b):
+        if b not in best_by_b or t < best_by_b[b][0]:
+            best_by_b[b] = (t, bt.to_graph6(g))
+
+    cur_t, cur_b = stats()
+    record_state(cur_t, cur_b)
+    temp = params.t0
+    steps = params.budget if present and absent else 0
+    for _ in range(steps):
+        rem_slot = present[int(rng.integers(0, len(present)))]
+        add_slot = absent[int(rng.integers(0, len(absent)))]
+        g.remove_edge(*slots_list[rem_slot])
+        g.add_edge(*slots_list[add_slot])
+        nxt_t, nxt_b = stats()
+        accept = False
+        if nxt_b < params.book_cap:
+            delta = nxt_t - cur_t
+            accept = delta <= 0 or rng.random() < math.exp(-delta / temp)
+        if accept:
+            remove_from(present, present_pos, rem_slot)
+            push(present, present_pos, add_slot)
+            remove_from(absent, absent_pos, add_slot)
+            push(absent, absent_pos, rem_slot)
+            cur_t, cur_b = nxt_t, nxt_b
+            record_state(cur_t, cur_b)
+        else:
+            g.remove_edge(*slots_list[add_slot])
+            g.add_edge(*slots_list[rem_slot])
+        temp *= params.decay
+
+    frontier = bt.pareto_min((b, t) for b, (t, _) in best_by_b.items())
+    return bt.FrontierRecord(
+        n=n,
+        e=e,
+        mode="heuristic",
+        min_t=min(t for _, t in frontier),
+        min_b=min(b for b, _ in frontier),
+        pareto=frontier,
+        witnesses=[best_by_b[b][1] for b, _ in frontier],
+        scanned=steps + 1,
+        rng=search.RNG_ALGORITHM,
+        seed=params.seed,
+        params={
+            "book_cap": params.book_cap,
+            "budget": params.budget,
+            "t0": params.t0,
+            "decay": params.decay,
+        },
+    )

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 import booktri as bt
+from booktri import cli
 from booktri.cli import main
 from conftest import complete, cycle
 
@@ -54,6 +55,45 @@ def test_analyze_rademacher_file(tmp_path, capsys):
 def test_analyze_corrupt_exits_2(graph_files, capsys):
     assert main(["analyze", graph_files["corrupt"]]) == 2
     assert "byte" in capsys.readouterr().err
+
+
+def test_analyze_non_ascii_edge_list_exits_2(tmp_path, capsys):
+    p = tmp_path / "bad.el"
+    p.write_bytes(b"# n 4\n0 1\n1 \xe9\n")
+    assert main(["analyze", str(p)]) == 2
+    assert capsys.readouterr().err == "parse error: line 3: non-ASCII byte 0xe9\n"
+
+
+@pytest.mark.parametrize("name", ["dir.g6", "missing.g6", "file.el/inner.el"])
+def test_analyze_unreadable_path_exits_1(tmp_path, capsys, name):
+    (tmp_path / "dir.g6").mkdir()
+    (tmp_path / "file.el").write_text("0 1\n")
+    assert main(["analyze", str(tmp_path / name)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "exc,code,prefix",
+    [
+        (bt.GraphSizeError("n"), 1, "error"),
+        (bt.ParameterError("p"), 1, "error"),
+        (bt.Graph6ParseError("g", 3), 2, "parse error"),
+        (bt.EdgeListParseError("l", 4), 2, "parse error"),
+        (bt.LoopError("loop"), 2, "parse error"),
+        (bt.NotTriangleFreeError((0, 1, 2)), 3, "hypothesis violation"),
+        (bt.ExplosionGuardError("x"), 4, "guard"),
+    ],
+    ids=lambda v: type(v).__name__ if isinstance(v, Exception) else str(v),
+)
+def test_error_exit_code_mapping(monkeypatch, capsys, exc, code, prefix):
+    def fail(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "_cmd_analyze", fail)
+    assert exc.exit_code == code
+    assert main(["analyze", "any.g6"]) == code
+    assert capsys.readouterr().err == f"{prefix}: {exc}\n"
 
 
 def test_analyze_unknown_extension(tmp_path, capsys):
@@ -113,6 +153,13 @@ def test_frontier_guard_exits_4(capsys):
     assert main(["frontier", "--n", "9", "--e", "21", "--mode", "exhaustive"]) == 4
     err = capsys.readouterr().err
     assert err.startswith("guard: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("n", ["-1", "0"])
+def test_frontier_exhaustive_rejects_nonpositive_n(n, capsys):
+    assert main(["frontier", "--n", n, "--e", "0", "--mode", "exhaustive"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_frontier_anneal_requires_seed(capsys):

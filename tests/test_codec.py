@@ -42,6 +42,17 @@ def test_parse_error_catalogue():
         bt.from_graph6("~B")  # truncated extended count
 
 
+@pytest.mark.parametrize(
+    "data,offset", [("Bé", 1), ("B€", 1), ("\u00e9B?", 0), (b"B\xe9", 1), ("B?".encode() + "é".encode(), 2)]
+)
+def test_non_ascii_rejected(data, offset):
+    # a str used to be encoded with errors="replace", so 'Bé' read as "B?",
+    # the empty graph on 3 vertices
+    with pytest.raises(bt.Graph6ParseError) as exc:
+        bt.from_graph6(data)
+    assert exc.value.offset == offset
+
+
 def test_header_prefix_accepted():
     g6 = bt.to_graph6(complete(4))
     assert bt.from_graph6(">>graph6<<" + g6) == complete(4)

@@ -8,7 +8,7 @@ from itertools import combinations
 import pytest
 
 import booktri as bt
-from conftest import brute_max_book, brute_triangle_count
+from conftest import anneal_reference, brute_max_book, brute_triangle_count, random_graph
 
 
 def test_enumerate_counts():
@@ -151,6 +151,14 @@ def test_scan_guard():
             bt.extremal_scan(9, e)
 
 
+def test_scan_rejects_nonpositive_n():
+    for n in (-1, 0):
+        with pytest.raises(bt.ParameterError):
+            bt.extremal_scan(n, 0)
+        with pytest.raises(bt.ParameterError):
+            list(bt.enumerate_fixed_edges(n, 0))
+
+
 def test_clamp_workers():
     clamp = bt.search.clamp_workers
     assert clamp(4, 8) == 4
@@ -221,6 +229,82 @@ def test_anneal_params_validation():
         bt.AnnealParams(book_cap=3, budget=10, seed=1, decay=1.5)
     with pytest.raises(bt.ParameterError):
         bt.AnnealParams(book_cap=3, budget=10, seed=-1)
+
+
+def _canonical(record) -> str:
+    return json.dumps(record.to_json_dict(), sort_keys=True, separators=(",", ":"))
+
+
+# sha256 of _canonical(record) for (n, e, book_cap, seed), and of the sweep
+# CSV, taken from the annealer before its incremental rewrite; the records
+# must never change.
+ANNEAL_PINS = {
+    (6, 10, 7, 1): "f9d5c72073dfa13ef19b9c2aece4c4814228bb95501a2adf0dfc419f556ad5ef",
+    (6, 10, 7, 2): "60b494a3af672af8248506f627a68c969d007c6fb64b64d638f802ab86ed39d3",
+    (6, 10, 7, 42): "d4bee8a123634ed63c366e99608a0eb86bd899e3166968cc762c5b58b49668a4",
+    (12, 37, 12, 1): "6adcfd582c12e940bc8eb2e19f2e5e23270816a01007786decb14d514f83a105",
+    (40, 401, 14, 1): "e79f58324e22bc033fe62b27da4f01d49eab31c141f5590825eeb1df23784bda",
+    (40, 401, 12, 1): "977b068f2868320a52c9cf4ee65b7cb5e0d9b2a7774343d928af82b9c8b010cf",
+}
+SWEEP_PIN = "ac934d1a66dfdb8208fc7164f8a6f4216848f729ad7ac7ba7b7660449390aab6"
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("ascii")).hexdigest()
+
+
+def test_anneal_golden_pins():
+    # n=40 runs start from the rewired-vertex family; under cap 12 that is
+    # the 3/5 graph, whose b = 11 sits one below the cap from the start
+    assert bt.strict_book_cap(40, Fraction(3, 5)) == 12
+    starts = {
+        14: bt.theorem1_sharp(40, Fraction(7, 10)).graph,
+        12: bt.theorem1_sharp(40, Fraction(3, 5)).graph,
+    }
+    for (n, e, cap, seed), pin in ANNEAL_PINS.items():
+        params = bt.AnnealParams(
+            book_cap=cap,
+            budget=5000 if n == 40 else 20000,
+            seed=seed,
+            init=starts[cap] if n == 40 else None,
+        )
+        record = bt.anneal_min_triangles(n, e, params)
+        assert _sha256(_canonical(record)) == pin, (n, e, cap, seed)
+    entries = bt.alpha_sweep(40, ["3/5", "9/10"], seed=1, budget=2000)
+    assert _sha256(bt.sweep_to_csv(entries)) == SWEEP_PIN
+
+
+def test_anneal_matches_full_recount_reference():
+    """The incremental annealer against the full-recount reference, on random
+    small cases; half start from a random graph whose largest book sits just
+    below the cap, so cap rejections are frequent."""
+    rng = random.Random(20)
+    ran = 0
+    for case in range(20):
+        n = rng.randint(4, 9)
+        slots = n * (n - 1) // 2
+        init = None
+        if case % 2:
+            init = random_graph(rng, n, rng.uniform(0.3, 0.8))
+            e, cap = init.m, brute_max_book(init) + 1
+        else:
+            e, cap = rng.randint(slots // 4, 3 * slots // 4), rng.randint(n // 2 + 1, n - 1)
+        params = bt.AnnealParams(
+            book_cap=cap,
+            budget=rng.randint(100, 400),
+            seed=rng.randrange(2**64),
+            init=init,
+            t0=rng.choice([0.3, 2.0, 8.0]),
+        )
+        try:
+            expected = _canonical(anneal_reference(n, e, params))
+        except bt.ParameterError:
+            with pytest.raises(bt.ParameterError):
+                bt.anneal_min_triangles(n, e, params)
+            continue
+        assert _canonical(bt.anneal_min_triangles(n, e, params)) == expected, (n, e, params)
+        ran += 1
+    assert ran >= 15
 
 
 def test_strict_book_cap():
