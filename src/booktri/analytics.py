@@ -2,17 +2,21 @@
 
 The book of an edge is the set of triangles through it; its size equals the
 number of common neighbors of the endpoints.  Everything here is a pure
-function of an immutable graph and reduces to row intersections plus
-popcounts, so it stays exact at any density the vertex cap allows.
+function of an immutable graph.  Every whole-graph statistic reads one
+kernel, ``_edge_codegrees``: each edge's book is the popcount of the AND of
+its endpoints' rows packed as uint64 words, summed in exact integers.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import EmptyGraphError, LoopError, MissingEdgeError
-from .graph import Graph
+from .graph import Graph, _row_bits, _row_words
+
+_CHUNK = 1 << 14  # edges per popcount batch
 
 
 @dataclass(frozen=True)
@@ -60,81 +64,81 @@ def book_size(g: Graph, u: int, v: int) -> int:
     return (g.adj[u] & g.adj[v]).bit_count()
 
 
+def _edge_codegrees(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every edge u < v in lexicographic order, with its book size: the
+    popcount of its endpoints' ANDed words, _CHUNK edges at a time so memory
+    stays bounded."""
+    words = _row_words(g)
+    order = np.arange(g.n)
+    u, v = np.nonzero(_row_bits(words) & (order[:, None] < order))  # strict upper
+    c = np.empty(len(u), dtype=np.int64)
+    for s in range(0, len(u), _CHUNK):
+        both = words[u[s:s + _CHUNK]] & words[v[s:s + _CHUNK]]
+        c[s:s + _CHUNK] = np.bitwise_count(both).sum(axis=1, dtype=np.int64)
+    return u, v, c
+
+
+def _t_and_b(c: np.ndarray) -> tuple[int, int]:
+    """(t, largest book) from the per-edge books: their sum is 3t, and an
+    edgeless graph's largest book is 0."""
+    total = int(c.sum())
+    assert total % 3 == 0
+    return total // 3, int(c.max(initial=0))
+
+
 def triangle_count(g: Graph) -> TriangleStats:
     """Exact triangle count via the codegree sum over edges (= 3t)."""
-    total = 0
-    adj = g.adj
-    for u in range(g.n):
-        row = adj[u]
-        high = row >> (u + 1)
-        while high:
-            low = high & -high
-            v = u + 1 + low.bit_length() - 1
-            total += (row & adj[v]).bit_count()
-            high ^= low
-    assert total % 3 == 0
-    return TriangleStats(count=total // 3, n=g.n)
+    return TriangleStats(count=_t_and_b(_edge_codegrees(g)[2])[0], n=g.n)
 
 
 def book_profile(g: Graph) -> BookProfile:
     if g.m == 0:
         raise EmptyGraphError("book profile of an edgeless graph is undefined")
-    per_edge: dict[tuple[int, int], int] = {}
-    best_edge = None
-    best = -1
-    adj = g.adj
-    for u, v in g.edges():
-        c = (adj[u] & adj[v]).bit_count()
-        per_edge[(u, v)] = c
-        if c > best:  # edges() is lexicographic, so first max wins ties
-            best = c
-            best_edge = (u, v)
-    return BookProfile(per_edge=per_edge, max_edge=best_edge, max_size=best)
+    u, v, c = _edge_codegrees(g)
+    i = int(c.argmax())  # first max, and edges are lexicographic, so ties go low
+    return BookProfile(
+        per_edge=dict(zip(zip(u.tolist(), v.tolist()), c.tolist())),
+        max_edge=(int(u[i]), int(v[i])),
+        max_size=int(c[i]),
+    )
 
 
 def book_histogram(g: Graph) -> dict[int, int]:
     """Map book size -> number of edges with that size."""
-    if g.m == 0:
-        return {}
-    counts = Counter(book_profile(g).per_edge.values())
-    return dict(sorted(counts.items()))
+    counts = np.bincount(_edge_codegrees(g)[2]).tolist()
+    return {size: k for size, k in enumerate(counts) if k}
 
 
 def max_book(g: Graph) -> int:
     """Largest book size over all edges; 0 for an edgeless graph."""
-    best = 0
-    adj = g.adj
-    for u, v in g.edges():
-        c = (adj[u] & adj[v]).bit_count()
-        if c > best:
-            best = c
-    return best
+    return _t_and_b(_edge_codegrees(g)[2])[1]
 
 
 def find_triangle(g: Graph) -> tuple[int, int, int] | None:
     """Some triangle (u, v, w) with u < v < w, or None if triangle-free."""
-    adj = g.adj
-    for u, v in g.edges():
-        common = adj[u] & adj[v]
-        if common:
-            w = (common & -common).bit_length() - 1
-            return tuple(sorted((u, v, w)))
-    return None
+    u, v, c = _edge_codegrees(g)
+    hit = np.flatnonzero(c)
+    if not hit.size:
+        return None
+    x, y = int(u[hit[0]]), int(v[hit[0]])
+    common = g.adj[x] & g.adj[y]
+    w = (common & -common).bit_length() - 1
+    return tuple(sorted((x, y, w)))
 
 
 def analyze_report(g: Graph) -> dict:
     """Summary dict {n, m, t, b, max_edge, histogram} used by report files."""
-    t = triangle_count(g)
+    u, v, c = _edge_codegrees(g)
     if g.m == 0:
         b, max_edge, hist = None, None, {}
     else:
-        profile = book_profile(g)
-        b, max_edge = profile.max_size, list(profile.max_edge)
-        hist = {str(k): v for k, v in sorted(Counter(profile.per_edge.values()).items())}
+        i = int(c.argmax())
+        b, max_edge = int(c[i]), [int(u[i]), int(v[i])]
+        hist = {str(size): k for size, k in enumerate(np.bincount(c).tolist()) if k}
     return {
         "n": g.n,
         "m": g.m,
-        "t": t.count,
+        "t": _t_and_b(c)[0],
         "b": b,
         "max_edge": max_edge,
         "histogram": hist,

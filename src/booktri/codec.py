@@ -4,7 +4,9 @@ graph6 packs the upper triangle of the adjacency matrix column by column
 (bit (u, v) for u < v, columns v = 1..n-1) into 6-bit groups, padded with
 zero bits, each group stored as one printable byte (value + 63).  The
 vertex count is one byte (n + 63) for n <= 62, otherwise '~' followed by
-three bytes holding an 18-bit big-endian count.
+three bytes holding an 18-bit big-endian count.  Both directions work on
+the whole boolean adjacency matrix, whose strict lower triangle in row-major
+order is exactly graph6's bit order.
 
 The edge-list format is one "u v" pair per line, 0-based.  Lines starting
 with '#' are comments; the writer emits "# n <count>" first so graphs with
@@ -13,8 +15,10 @@ trailing isolated vertices survive a round trip.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .errors import EdgeListParseError, Graph6ParseError, GraphSizeError
-from .graph import MAX_VERTICES, Graph
+from .graph import MAX_VERTICES, Graph, _row_bits, _row_words, _set_row_bits
 
 _HEADER = b">>graph6<<"
 
@@ -22,23 +26,13 @@ _HEADER = b">>graph6<<"
 def to_graph6(g: Graph) -> str:
     n = g.n
     if n <= 62:
-        out = [n + 63]
+        header = bytes([n + 63])
     else:
-        out = [126, (n >> 12) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63]
-    group = 0
-    nbits = 0
-    for v in range(1, n):
-        col = g.adj[v]
-        for u in range(v):
-            group = (group << 1) | ((col >> u) & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(group + 63)
-                group = 0
-                nbits = 0
-    if nbits:
-        out.append((group << (6 - nbits)) + 63)
-    return bytes(out).decode("ascii")
+        header = bytes([126, (n >> 12) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63])
+    bits = _row_bits(_row_words(g))[np.tri(n, k=-1, dtype=bool)]
+    groups = np.concatenate((bits, np.zeros(-len(bits) % 6, dtype=bool))).reshape(-1, 6)
+    payload = (np.packbits(groups, axis=1) >> 2) + 63
+    return (header + payload.tobytes()).decode("ascii")
 
 
 def from_graph6(data: str | bytes) -> Graph:
@@ -97,27 +91,17 @@ def from_graph6(data: str | bytes) -> Graph:
     if len(payload) > expect:
         raise Graph6ParseError("trailing bytes after payload", pos + expect)
 
-    g = Graph(n)
-    bit = 0
-    u, v = 0, 1
-    for i, byte in enumerate(payload):
-        if not 63 <= byte <= 126:
-            raise Graph6ParseError(f"non-printable payload byte {byte:#04x}", pos + i)
-        group = byte - 63
-        for k in range(5, -1, -1):
-            if bit == nbits:
-                if (group >> k) & 1:
-                    raise Graph6ParseError("nonzero padding bits", pos + i)
-                continue
-            if (group >> k) & 1:
-                g.adj[u] |= 1 << v
-                g.adj[v] |= 1 << u
-                g.m += 1
-            bit += 1
-            u += 1
-            if u == v:
-                u, v = 0, v + 1
-    return g
+    groups = np.frombuffer(payload, dtype=np.uint8) - 63
+    bad = np.flatnonzero(groups > 63)  # bytes outside 63..126 wrap above 63
+    if bad.size:
+        i = int(bad[0])
+        raise Graph6ParseError(f"non-printable payload byte {payload[i]:#04x}", pos + i)
+    bits = np.unpackbits(groups[:, None], axis=1)[:, 2:].ravel()
+    if bits[nbits:].any():  # padding lives in the last byte
+        raise Graph6ParseError("nonzero padding bits", pos + expect - 1)
+    matrix = np.zeros((n, n), dtype=bool)
+    matrix[np.tri(n, k=-1, dtype=bool)] = bits[:nbits]
+    return _set_row_bits(Graph(n), matrix | matrix.T)
 
 
 def to_edge_list(g: Graph) -> str:
@@ -160,7 +144,8 @@ def from_edge_list_text(text: str, n: int | None = None) -> Graph:
         n = maxv + 1 if maxv >= 0 else 1
     if maxv >= n:
         raise EdgeListParseError(f"vertex {maxv} outside declared count {n}", 0)
-    g = Graph(n)
-    for u, v in pairs:
-        g.add_edge(u, v)
-    return g
+    g = Graph(n)  # refuses a bad count before the matrix is allocated
+    us, vs = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    matrix = np.zeros((n, n), dtype=bool)
+    matrix[us, vs] = matrix[vs, us] = True
+    return _set_row_bits(g, matrix)

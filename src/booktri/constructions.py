@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .analytics import max_book, triangle_count
+from .analytics import TriangleStats, _edge_codegrees, _t_and_b
 from .errors import ParameterError
 from .graph import Graph, complete_bipartite
 
@@ -76,7 +76,7 @@ class ConstructionReport:
     def to_json_dict(self) -> dict:
         from .codec import to_graph6  # local import to avoid a cycle
 
-        t = triangle_count(self.graph)
+        t, b = _t_and_b(_edge_codegrees(self.graph)[2])
         return {
             "kind": self.kind,
             "n": self.n,
@@ -85,9 +85,9 @@ class ConstructionReport:
             "e": self.e,
             "predicted_t": self.predicted_t,
             "predicted_b": self.predicted_b,
-            "measured_t": t.count,
-            "measured_b": max_book(self.graph),
-            "t_density": t.density_str(),
+            "measured_t": t,
+            "measured_b": b,
+            "t_density": TriangleStats(count=t, n=self.n).density_str(),
             "graph6": to_graph6(self.graph),
         }
 
@@ -194,25 +194,14 @@ def edwards_generalized(n: int, alpha) -> ConstructionReport:
     if min(xs + ys) < 1:
         raise ParameterError(f"empty part in {xs + ys} for n={n}, alpha={alpha}")
 
-    bounds = []
-    start = 0
-    for s in xs + ys:
-        bounds.append((start, start + s))
-        start += s
-    masks = [((1 << hi) - 1) ^ ((1 << lo) - 1) for lo, hi in bounds]
-
+    sizes = xs + ys
+    starts = [sum(sizes[:i]) for i in range(6)]
+    masks = [((1 << s) - 1) << lo for s, lo in zip(sizes, starts)]
     g = Graph(n)
-    x_all = masks[0] | masks[1] | masks[2]
-    y_all = masks[3] | masks[4] | masks[5]
-    for i in range(3):
-        lo, hi = bounds[i]
-        row = (x_all ^ masks[i]) | masks[3 + i]  # rest of own side + matching part
-        for v in range(lo, hi):
-            g.adj[v] = row
-        lo, hi = bounds[3 + i]
-        row = (y_all ^ masks[3 + i]) | masks[i]
-        for v in range(lo, hi):
-            g.adj[v] = row
+    for i in range(6):
+        # the rest of part i's own side plus the matching part across
+        row = sum(masks[j] for j in range(6) if (j // 3 == i // 3) != (j % 3 == i % 3))
+        g.adj[starts[i]:starts[i] + sizes[i]] = [row] * sizes[i]
     g.m = g.edge_count_recount()
 
     return ConstructionReport(
@@ -229,7 +218,5 @@ def edwards_generalized(n: int, alpha) -> ConstructionReport:
 
 def predicted_vs_actual(report: ConstructionReport) -> bool:
     """True iff the closed-form t and b match exact measurements."""
-    return (
-        triangle_count(report.graph).count == report.predicted_t
-        and max_book(report.graph) == report.predicted_b
-    )
+    measured = _t_and_b(_edge_codegrees(report.graph)[2])
+    return measured == (report.predicted_t, report.predicted_b)

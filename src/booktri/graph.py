@@ -3,12 +3,15 @@
 Adjacency rows are Python integers used as n-bit sets, so neighborhood
 intersections are a single ``&`` and common-neighbor counts a single
 ``int.bit_count()``.  The vertex cap keeps rows at a fixed small size
-(1024 bits = 16 machine words).
+(1024 bits = 16 machine words).  Whole-graph kernels convert all rows at
+once to packed words or a boolean matrix and back.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator
+
+import numpy as np
 
 from .errors import BoundsError, GraphSizeError, LoopError
 
@@ -111,6 +114,29 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
+
+
+def _row_words(g: Graph) -> np.ndarray:
+    """Rows as an (n, ceil(n/64)) uint64 array: bit v of row u is bit v % 64
+    of word v // 64."""
+    width = 8 * ((g.n + 63) // 64)
+    buf = b"".join([row.to_bytes(width, "little") for row in g.adj])
+    return np.frombuffer(buf, dtype="<u8").reshape(g.n, -1)
+
+
+def _row_bits(words: np.ndarray) -> np.ndarray:
+    """The (n, n) boolean adjacency matrix of ``_row_words`` output."""
+    bits = np.unpackbits(words.view(np.uint8), axis=1, count=len(words), bitorder="little")
+    return bits.view(bool)
+
+
+def _set_row_bits(g: Graph, bits: np.ndarray) -> Graph:
+    """Fill g's rows from a symmetric loop-free (n, n) boolean matrix."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    buf, width = packed.tobytes(), packed.shape[1]
+    g.adj = [int.from_bytes(buf[i:i + width], "little") for i in range(0, len(buf), width)]
+    g.m = int(np.count_nonzero(bits)) // 2
+    return g
 
 
 def new_graph(n: int) -> Graph:

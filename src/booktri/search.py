@@ -28,7 +28,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .analytics import max_book
+from .analytics import _edge_codegrees, max_book
 from .codec import to_graph6
 from .constructions import (
     ConstructionReport,
@@ -39,7 +39,7 @@ from .constructions import (
     theorem1_sharp,
 )
 from .errors import ExplosionGuardError, ParameterError
-from .graph import Graph
+from .graph import Graph, _set_row_bits
 
 EXHAUSTIVE_VERTEX_LIMIT = 8
 RNG_ALGORITHM = "numpy-pcg64"
@@ -56,16 +56,13 @@ def edge_slots(n: int) -> list[tuple[int, int]]:
 
 
 def graph_from_edge_mask(n: int, mask: int) -> Graph:
+    """The graph whose edges are the slots i with bit i of mask set."""
     g = Graph(n)
-    slots = edge_slots(n)
-    while mask:
-        low = mask & -mask
-        u, v = slots[low.bit_length() - 1]
-        g.adj[u] |= 1 << v
-        g.adj[v] |= 1 << u
-        g.m += 1
-        mask ^= low
-    return g
+    slots = n * (n - 1) // 2
+    raw = np.frombuffer(mask.to_bytes(-(-slots // 8), "little"), dtype=np.uint8)
+    bits = np.zeros((n, n), dtype=bool)
+    bits[~np.tri(n, dtype=bool)] = np.unpackbits(raw, count=slots, bitorder="little")
+    return _set_row_bits(g, bits | bits.T)
 
 
 def _guard(n: int, e: int) -> int:
@@ -262,7 +259,8 @@ class AnnealParams:
 
     book_cap is a strict upper bound: states with max book >= book_cap are
     rejected outright, keeping the whole walk inside the capped class.
-    Temperature decays geometrically per proposal.  A proposal costs
+    Temperature starts at t0 > 0 and decays geometrically per proposal; once
+    it underflows to 0.0 no uphill move is accepted.  A proposal costs
     O(codegree) whatever the edge count (see anneal_min_triangles).
     """
 
@@ -276,6 +274,8 @@ class AnnealParams:
     def __post_init__(self):
         if self.budget < 1:
             raise ParameterError(f"budget must be >= 1, got {self.budget}")
+        if not (math.isfinite(self.t0) and self.t0 > 0):
+            raise ParameterError(f"t0 must be positive and finite, got {self.t0}")
         if not 0.0 < self.decay < 1.0:
             raise ParameterError(f"decay must be in (0, 1), got {self.decay}")
         if not 0 <= self.seed < 2**64:
@@ -317,10 +317,7 @@ def anneal_min_triangles(n: int, e: int, params: AnnealParams) -> FrontierRecord
         g = None
         for _ in range(200):
             chosen = rng.choice(slots, size=e, replace=False)
-            cand = Graph(n)
-            for idx in chosen:
-                u, v = slots_list[int(idx)]
-                cand.add_edge(u, v)
+            cand = graph_from_edge_mask(n, sum(1 << int(i) for i in chosen))
             if max_book(cand) < params.book_cap:
                 g = cand
                 break
@@ -330,8 +327,9 @@ def anneal_min_triangles(n: int, e: int, params: AnnealParams) -> FrontierRecord
                 "provide init explicitly"
             )
 
+    eu, ev, ec = (x.tolist() for x in _edge_codegrees(g))
     index = {s: i for i, s in enumerate(slots_list)}
-    present = [index[ed] for ed in g.edges()]
+    present = [index[ed] for ed in zip(eu, ev)]
     present_pos = {s: i for i, s in enumerate(present)}
     absent = [i for i in range(slots) if i not in present_pos]
     absent_pos = {s: i for i, s in enumerate(absent)}
@@ -351,13 +349,11 @@ def anneal_min_triangles(n: int, e: int, params: AnnealParams) -> FrontierRecord
     # counts the present edges with book c
     adj = g.adj
     book = [[0] * n for _ in range(n)]
-    hist = [0] * n
-    for u, v in g.edges():
-        c = (adj[u] & adj[v]).bit_count()
+    for u, v, c in zip(eu, ev, ec):
         book[u][v] = book[v][u] = c
-        hist[c] += 1
-    cur_t = sum(c * k for c, k in enumerate(hist)) // 3
-    cur_b = max((c for c, k in enumerate(hist) if k), default=0)
+    hist = np.bincount(ec, minlength=n).tolist()
+    cur_t = sum(ec) // 3
+    cur_b = max(ec, default=0)
 
     def shift(x, y, mask, d) -> int:
         """Add d to the books of (x, w) and (y, w) for w in mask; return the
@@ -441,7 +437,8 @@ def anneal_min_triangles(n: int, e: int, params: AnnealParams) -> FrontierRecord
             if delta <= 0:
                 accept = True
             else:
-                accept = rng.random() < math.exp(-delta / temp)
+                # temp may underflow to 0.0; the draw keeps the stream fixed
+                accept = rng.random() < (math.exp(-delta / temp) if temp else 0.0)
         if accept:
             remove_from(present, present_pos, rem_slot)
             push(present, present_pos, add_slot)

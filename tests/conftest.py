@@ -13,6 +13,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
+from hypothesis import strategies as st
 
 import booktri as bt
 
@@ -89,6 +90,19 @@ def bipartite_minus_matching(rng: random.Random, a: int, b: int) -> bt.Graph:
     return g
 
 
+@st.composite
+def graphs(draw, max_n: int) -> bt.Graph:
+    """Hypothesis strategy: any graph on 1..max_n vertices, each vertex pair
+    an edge when its bit of one drawn integer is set."""
+    n = draw(st.integers(1, max_n))
+    mask = draw(st.integers(0, (1 << n * (n - 1) // 2) - 1))
+    g = bt.new_graph(n)
+    for k, (u, v) in enumerate(combinations(range(n), 2)):
+        if (mask >> k) & 1:
+            g.add_edge(u, v)
+    return g
+
+
 def cycle(n: int) -> bt.Graph:
     return bt.from_edge_list(n, [(i, (i + 1) % n) for i in range(n)])
 
@@ -111,6 +125,103 @@ def sharp_split_exists(n: int, alpha: Fraction) -> bool:
     cap = alpha * n / 2
     s = -(-cap.numerator // cap.denominator) - 1
     return 2 * s >= n // 2 + 1
+
+
+def graph6_reference_encode(g: bt.Graph) -> str:
+    """graph6 one bit at a time, as the codec was before it worked on whole
+    matrices: columns v = 1..n-1, rows u < v, six bits per printable byte."""
+    n = g.n
+    if n <= 62:
+        out = [n + 63]
+    else:
+        out = [126, (n >> 12) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63]
+    group = 0
+    nbits = 0
+    for v in range(1, n):
+        col = g.adj[v]
+        for u in range(v):
+            group = (group << 1) | ((col >> u) & 1)
+            nbits += 1
+            if nbits == 6:
+                out.append(group + 63)
+                group = 0
+                nbits = 0
+    if nbits:
+        out.append((group << (6 - nbits)) + 63)
+    return bytes(out).decode("ascii")
+
+
+def graph6_reference_decode(data: str | bytes) -> bt.Graph:
+    """The per-bit decoder the codec replaced, with every check and error
+    message (and offset) it raised."""
+    if isinstance(data, str):
+        try:
+            data = data.encode("ascii")
+        except UnicodeEncodeError as exc:
+            raise bt.Graph6ParseError(
+                f"non-ASCII character {data[exc.start]!r}", exc.start
+            ) from None
+    data = data.strip()
+    if data.startswith(b">>graph6<<"):
+        data = data[len(b">>graph6<<"):].strip()
+    if not data:
+        raise bt.Graph6ParseError("empty input", 0)
+
+    if data[0] == 126:
+        if len(data) >= 2 and data[1] == 126:
+            raise bt.Graph6ParseError("vertex count exceeds supported range", 1)
+        if len(data) < 4:
+            raise bt.Graph6ParseError("truncated extended vertex count", len(data))
+        vals = []
+        for i in (1, 2, 3):
+            b = data[i]
+            if not 63 <= b <= 126:
+                raise bt.Graph6ParseError(f"invalid count byte {b:#04x}", i)
+            vals.append(b - 63)
+        n = (vals[0] << 12) | (vals[1] << 6) | vals[2]
+        pos = 4
+    else:
+        b = data[0]
+        if not 63 <= b <= 125:
+            raise bt.Graph6ParseError(f"invalid header byte {b:#04x}", 0)
+        n = b - 63
+        pos = 1
+
+    if n < 1 or n > bt.MAX_VERTICES:
+        raise bt.GraphSizeError(f"vertex count {n} outside 1..{bt.MAX_VERTICES}")
+
+    nbits = n * (n - 1) // 2
+    expect = (nbits + 5) // 6
+    payload = data[pos:]
+    if len(payload) < expect:
+        raise bt.Graph6ParseError(
+            f"payload too short: expected {expect} bytes, got {len(payload)}",
+            len(data),
+        )
+    if len(payload) > expect:
+        raise bt.Graph6ParseError("trailing bytes after payload", pos + expect)
+
+    g = bt.Graph(n)
+    bit = 0
+    u, v = 0, 1
+    for i, byte in enumerate(payload):
+        if not 63 <= byte <= 126:
+            raise bt.Graph6ParseError(f"non-printable payload byte {byte:#04x}", pos + i)
+        group = byte - 63
+        for k in range(5, -1, -1):
+            if bit == nbits:
+                if (group >> k) & 1:
+                    raise bt.Graph6ParseError("nonzero padding bits", pos + i)
+                continue
+            if (group >> k) & 1:
+                g.adj[u] |= 1 << v
+                g.adj[v] |= 1 << u
+                g.m += 1
+            bit += 1
+            u += 1
+            if u == v:
+                u, v = 0, v + 1
+    return g
 
 
 def anneal_reference(n: int, e: int, params: bt.AnnealParams) -> bt.FrontierRecord:
@@ -183,7 +294,7 @@ def anneal_reference(n: int, e: int, params: bt.AnnealParams) -> bt.FrontierReco
         accept = False
         if nxt_b < params.book_cap:
             delta = nxt_t - cur_t
-            accept = delta <= 0 or rng.random() < math.exp(-delta / temp)
+            accept = delta <= 0 or rng.random() < (math.exp(-delta / temp) if temp else 0.0)
         if accept:
             remove_from(present, present_pos, rem_slot)
             push(present, present_pos, add_slot)

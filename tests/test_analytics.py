@@ -1,6 +1,11 @@
+import hashlib
+import json
 import random
+from collections import Counter
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 import booktri as bt
 from conftest import (
@@ -9,6 +14,7 @@ from conftest import (
     brute_triangle_count,
     complete,
     cycle,
+    graphs,
     random_graph,
 )
 
@@ -178,3 +184,51 @@ def test_analyze_report_shape():
 def test_find_triangle():
     assert bt.find_triangle(cycle(5)) is None
     assert bt.find_triangle(complete(3)) == (0, 1, 2)
+
+
+@settings(deadline=None)
+@given(graphs(max_n=24))
+@example(bt.new_graph(1))
+@example(bt.new_graph(7))
+def test_kernel_matches_brute_oracles(g):
+    t = brute_triangle_count(g)
+    books = brute_book_sizes(g)
+    assert bt.triangle_count(g).count == t
+    assert bt.max_book(g) == brute_max_book(g)
+    assert bt.book_histogram(g) == dict(sorted(Counter(books.values()).items()))
+    report = bt.analyze_report(g)
+    assert (report["n"], report["m"], report["t"]) == (g.n, g.m, t)
+    if g.m:
+        profile = bt.book_profile(g)
+        assert profile.per_edge == books
+        first_max = min(e for e, c in books.items() if c == profile.max_size)
+        assert profile.max_edge == first_max and profile.max_size == brute_max_book(g)
+        assert report["b"] == profile.max_size and report["max_edge"] == list(first_max)
+    else:
+        assert report["b"] is None and report["histogram"] == {}
+    tri = bt.find_triangle(g)
+    if t == 0:
+        assert tri is None
+    else:
+        u, v, w = tri
+        assert u < v < w and g.has_edge(u, v) and g.has_edge(u, w) and g.has_edge(v, w)
+
+
+def _half_density(n: int, seed: int) -> bt.Graph:
+    upper = np.triu(np.random.default_rng(seed).random((n, n)) < 0.5, 1)
+    return bt.from_edge_list(n, zip(*(x.tolist() for x in np.nonzero(upper))))
+
+
+# sha256 of the canonical JSON of analyze_report on G(n, 1/2) seeded by n,
+# taken from the per-edge loops before the codegree kernel replaced them
+DENSE_REPORT_PINS = {
+    400: "2ee338eb167a1b207869d5ff4eaecdba2c6586da54316d22dcef012cd6f5a78e",
+    1024: "c0957a4a282772a151887ad5ade70fac45b71efbce3744eafbfb7572b0cfd741",
+}
+
+
+@pytest.mark.parametrize("n", sorted(DENSE_REPORT_PINS))
+def test_dense_report_golden_pins(n):
+    report = bt.analyze_report(_half_density(n, n))
+    blob = json.dumps(report, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(blob.encode("ascii")).hexdigest() == DENSE_REPORT_PINS[n]

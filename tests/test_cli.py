@@ -7,7 +7,7 @@ import pytest
 import booktri as bt
 from booktri import cli
 from booktri.cli import main
-from conftest import complete, cycle
+from conftest import anneal_reference, complete, cycle
 
 
 @pytest.fixture()
@@ -173,6 +173,27 @@ def test_frontier_anneal_empty_class_rejected(capsys):
     assert main(["frontier", "--n", "30", "--e", "226", "--mode", "anneal",
                  "--book-cap", "6", "--seed", "1", "--budget", "100"]) == 1
     assert "no feasible random start" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("t0", ["0", "-1", "nan", "inf"])
+def test_frontier_anneal_rejects_bad_t0(t0, capsys):
+    # t0 = 0 used to divide by zero at the first uphill move, and t0 < 0
+    # accepted every feasible uphill move
+    assert main(["frontier", "--n", "6", "--e", "10", "--mode", "anneal",
+                 "--book-cap", "7", "--seed", "1", "--t0", t0, "--budget", "50"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: t0 ") and err.count("\n") == 1
+
+
+def test_frontier_anneal_temperature_underflow(tmp_path):
+    # at decay 0.5 the temperature reaches 0.0 after about 1,075 proposals;
+    # uphill moves are then refused (this used to raise ZeroDivisionError)
+    out = tmp_path / "rec.json"
+    assert main(["frontier", "--n", "6", "--e", "10", "--mode", "anneal",
+                 "--book-cap", "7", "--seed", "1", "--decay", "0.5",
+                 "--budget", "5000", "--out", str(out)]) == 0
+    params = bt.AnnealParams(book_cap=7, budget=5000, seed=1, decay=0.5)
+    assert json.loads(out.read_text()) == anneal_reference(6, 10, params).to_json_dict()
 
 
 def test_frontier_anneal_reproducible(tmp_path):

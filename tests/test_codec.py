@@ -2,9 +2,17 @@ import random
 
 import networkx as nx
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import booktri as bt
-from conftest import complete, random_graph
+from conftest import (
+    complete,
+    graph6_reference_decode,
+    graph6_reference_encode,
+    graphs,
+    random_graph,
+)
 
 
 def test_empty5_encoding():
@@ -106,6 +114,56 @@ def test_agrees_with_networkx():
         assert back.number_of_nodes() == n
 
 
+@settings(deadline=None)
+@given(graphs(max_n=130))  # crosses the 62/63 header forms and 64-bit words
+def test_graph6_matches_reference_encoder(g):
+    s = bt.to_graph6(g)
+    assert s == graph6_reference_encode(g)
+    back = bt.from_graph6(s)
+    assert back == g and back.m == g.m
+
+
+@st.composite
+def graph6_like(draw) -> bytes:
+    """A header for n in 0..140, a payload of about the right length in
+    mostly printable bytes (random padding bits included), sometimes with
+    one arbitrary byte, and optional whitespace or a >>graph6<< prefix."""
+    n = draw(st.integers(0, 140))
+    if n <= 62:
+        head = bytes([n + 63])
+    else:
+        head = bytes([126, (n >> 12) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63])
+    expect = (n * (n - 1) // 2 + 5) // 6
+    size = draw(st.sampled_from([expect, expect, expect, max(expect - 1, 0), expect + 1]))
+    payload = bytearray(draw(st.binary(min_size=size, max_size=size)))
+    for i in range(size):
+        payload[i] = 63 + payload[i] % 64
+    if size and draw(st.booleans()):
+        payload[draw(st.integers(0, size - 1))] = draw(st.integers(0, 255))
+    prefix = draw(st.sampled_from([b"", b" ", b">>graph6<<", b">>graph6<< \n"]))
+    return prefix + head + bytes(payload) + draw(st.sampled_from([b"", b"\n"]))
+
+
+def _decode_outcome(decode, data):
+    try:
+        g = decode(data)
+    except (bt.Graph6ParseError, bt.GraphSizeError) as exc:
+        return type(exc), str(exc), getattr(exc, "offset", None)
+    return g.n, g.adj, g.m
+
+
+@settings(deadline=None)
+@given(st.one_of(st.binary(max_size=24), st.text(max_size=8), graph6_like()))
+@example(b"D?~")  # both padding bits set
+@example(b"D?\x07")  # non-printable payload byte
+@example(b"~??~" + b"?" * 10)  # n = 63 with a short payload
+def test_graph6_decode_matches_reference(data):
+    """Same graph, or the same error class, message and offset."""
+    assert _decode_outcome(bt.from_graph6, data) == _decode_outcome(
+        graph6_reference_decode, data
+    )
+
+
 def test_edge_list_roundtrip():
     g = bt.from_edge_list(7, [(0, 1), (2, 5), (3, 4)])  # vertex 6 isolated
     text = bt.to_edge_list(g)
@@ -127,3 +185,17 @@ def test_edge_list_errors():
         bt.from_edge_list_text("3 3\n")
     with pytest.raises(bt.EdgeListParseError):
         bt.from_edge_list_text("# n 2\n0 5\n")
+    with pytest.raises(bt.GraphSizeError):
+        bt.from_edge_list_text("# n 2000\n0 5\n")
+
+
+@settings(deadline=None)
+@given(graphs(max_n=70))
+def test_edge_list_roundtrip_property(g):
+    back = bt.from_edge_list_text(bt.to_edge_list(g))
+    assert back == g and back.m == g.m
+
+
+def test_edge_list_duplicate_pairs_counted_once():
+    g = bt.from_edge_list_text("# n 5\n0 1\n1 0\n0 1\n3 4\n")
+    assert g == bt.from_edge_list(5, [(0, 1), (3, 4)]) and g.m == 2

@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -175,3 +177,23 @@ def test_report_json_dict():
     assert bt.from_graph6(d["graph6"]) == bt.rademacher_extremal(10).graph
     d = bt.theorem1_sharp(20, "7/10").to_json_dict()
     assert d["alpha"] == "7/10" and d["predicted_t"] == d["measured_t"] == 30
+
+
+# sha256 of the canonical JSON of each report, taken before the codegree
+# kernel replaced triangle_count + max_book and the per-bit graph6 encoder
+FAMILY_REPORT_PINS = {
+    ("theorem1", 400, "7/10"): "21fe8d63631a3fc9b38fa3078f2fc95ee9181eba5a9ba34d6e1ad0485a54c10e",
+    ("edwards", 384, "2/5"): "18791428697cf030b768761ed66d3467dc65908d232643bfca8e8b4220dfd7cc",
+    ("rademacher", 1024, None): "fc6ac5f8f60002c9fa9672378a84a7d8c44ceaeb5c5fb17f4664a57d9484f6ca",
+}
+
+
+@pytest.mark.parametrize("kind,n,alpha", sorted(FAMILY_REPORT_PINS, key=str))
+def test_family_report_golden_pins(kind, n, alpha):
+    build = {
+        "theorem1": lambda: bt.theorem1_sharp(n, alpha),
+        "edwards": lambda: bt.edwards_generalized(n, alpha),
+        "rademacher": lambda: bt.rademacher_extremal(n),
+    }[kind]
+    blob = json.dumps(build().to_json_dict(), sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(blob.encode("ascii")).hexdigest() == FAMILY_REPORT_PINS[(kind, n, alpha)]
