@@ -64,18 +64,22 @@ def book_size(g: Graph, u: int, v: int) -> int:
     return (g.adj[u] & g.adj[v]).bit_count()
 
 
-def _edge_codegrees(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every edge u < v in lexicographic order, with its book size: the
-    popcount of its endpoints' ANDed words, _CHUNK edges at a time so memory
-    stays bounded."""
+def _codegree_chunks(g: Graph):
+    """Every edge u < v in lexicographic order, and its book sizes _CHUNK
+    edges at a time, computed lazily so memory stays bounded and a caller
+    may stop early: each is the popcount of its endpoints' ANDed words."""
     words = _row_words(g)
     order = np.arange(g.n)
     u, v = np.nonzero(_row_bits(words) & (order[:, None] < order))  # strict upper
-    c = np.empty(len(u), dtype=np.int64)
-    for s in range(0, len(u), _CHUNK):
-        both = words[u[s:s + _CHUNK]] & words[v[s:s + _CHUNK]]
-        c[s:s + _CHUNK] = np.bitwise_count(both).sum(axis=1, dtype=np.int64)
-    return u, v, c
+    starts = range(0, len(u), _CHUNK)
+    both = (words[u[s:s + _CHUNK]] & words[v[s:s + _CHUNK]] for s in starts)
+    return u, v, (np.bitwise_count(w).sum(axis=1, dtype=np.int64) for w in both)
+
+
+def _edge_codegrees(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every edge u < v in lexicographic order, with its book size."""
+    u, v, chunks = _codegree_chunks(g)
+    return u, v, np.concatenate([*chunks, np.empty(0, dtype=np.int64)])
 
 
 def _t_and_b(c: np.ndarray) -> tuple[int, int]:
@@ -116,14 +120,15 @@ def max_book(g: Graph) -> int:
 
 def find_triangle(g: Graph) -> tuple[int, int, int] | None:
     """Some triangle (u, v, w) with u < v < w, or None if triangle-free."""
-    u, v, c = _edge_codegrees(g)
-    hit = np.flatnonzero(c)
-    if not hit.size:
-        return None
-    x, y = int(u[hit[0]]), int(v[hit[0]])
-    common = g.adj[x] & g.adj[y]
-    w = (common & -common).bit_length() - 1
-    return tuple(sorted((x, y, w)))
+    u, v, chunks = _codegree_chunks(g)
+    for s, c in zip(range(0, len(u), _CHUNK), chunks):
+        hit = np.flatnonzero(c)
+        if hit.size:  # the first edge with a common neighbour, as edges are ordered
+            x, y = int(u[s + hit[0]]), int(v[s + hit[0]])
+            common = g.adj[x] & g.adj[y]
+            w = (common & -common).bit_length() - 1
+            return tuple(sorted((x, y, w)))
+    return None
 
 
 def analyze_report(g: Graph) -> dict:

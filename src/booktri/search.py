@@ -12,7 +12,9 @@ rejecting any state whose largest book reaches the cap, and reports the best
 feasible states seen.  It keeps the book of every present edge, a histogram
 of book sizes and the current (t, b), and updates them along the common
 neighbourhoods of the swapped edges, so a proposal costs O(codegree), not
-O(m).  Heuristic results are empirical upper bounds on the true minimum,
+O(m).  Its draws are numpy's: the values Generator.integers and random()
+give on the seeded PCG64 stream (numpy >= 2.0), computed from raw words in
+bulk.  Heuristic results are empirical upper bounds on the true minimum,
 never proofs.
 """
 
@@ -23,8 +25,8 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
-from typing import Iterator, Sequence
+from itertools import chain
+from typing import Sequence
 
 import numpy as np
 
@@ -77,22 +79,6 @@ def _guard(n: int, e: int) -> int:
     if not 0 <= e <= slots:
         raise ParameterError(f"edge count {e} outside 0..{slots} for n={n}")
     return slots
-
-
-def enumerate_fixed_edges(n: int, e: int) -> Iterator[Graph]:
-    """Every labeled n-vertex graph with exactly e edges, each exactly once,
-    in lexicographic order of its edge subset.
-
-    Graphs are built edge by edge from itertools.combinations, independently
-    of the scan kernel, so this is the reference the scan is checked against.
-    """
-    slots = _guard(n, e)
-    table = edge_slots(n)
-    for combo in combinations(range(slots), e):
-        g = Graph(n)
-        for i in combo:
-            g.add_edge(*table[i])
-        yield g
 
 
 def clamp_workers(requested: int, cpus: int | None, jobs: int | None = None) -> int:
@@ -282,6 +268,44 @@ class AnnealParams:
             raise ParameterError("seed must fit in 64 bits")
 
 
+class _Draws:
+    """numpy's Generator.integers(0, k) for k < 2**32 and random(): the same
+    values from the same PCG64 stream, computed from raw words in bulk.
+
+    numpy >= 2.0 bounds a draw by Lemire's method on a 32-bit half: the low
+    half of a fresh word, then its buffered high half (has_uint32 and
+    uinteger in bit_generator.state); k = 1 takes no word.  random() takes a
+    whole word and leaves the buffer alone.  Words are read ahead, so the
+    wrapped Generator must not be used afterwards.
+    """
+
+    def __init__(self, rng: np.random.Generator):
+        bits = rng.bit_generator
+        state = bits.state
+        self._half = state["uinteger"] if state["has_uint32"] else -1
+        # 4096 raw words at a time, without end (a list never equals None)
+        chunks = iter(lambda: bits.random_raw(4096).tolist(), None)
+        self._words = chain.from_iterable(chunks)
+
+    def integers(self, k: int) -> int:
+        """Uniform in [0, k), as rng.integers(0, k)."""
+        while k > 1:
+            if self._half < 0:
+                w = next(self._words)
+                low, self._half = w & 0xFFFFFFFF, w >> 32
+            else:
+                low, self._half = self._half, -1
+            m = low * k
+            # Lemire (2019): redraw while the low word is below 2**32 % k
+            if (m & 0xFFFFFFFF) >= (0x100000000 - k) % k:
+                return m >> 32
+        return 0
+
+    def random(self) -> float:
+        """Uniform in [0, 1), as rng.random()."""
+        return (next(self._words) >> 11) * 2.0**-53
+
+
 def anneal_min_triangles(n: int, e: int, params: AnnealParams) -> FrontierRecord:
     """Minimize the triangle count over graphs with exactly e edges and max
     book below params.book_cap, by Metropolis annealing on single edge swaps.
@@ -293,9 +317,11 @@ def anneal_min_triangles(n: int, e: int, params: AnnealParams) -> FrontierRecord
     is gone minus the book of r, and only the edges in a triangle with r
     (one less) or with a (one more) change book, so a proposal costs
     O(codegree) rather than O(m); a rejected proposal changes no state.
-    Runs are reproducible from the seed (PCG64); the record carries the
-    generator id, seed, and knobs.  The reported values are upper bounds
-    for the capped minimum, not proofs.
+    Runs are reproducible from the seed (PCG64): the random start uses the
+    Generator, and every later draw is the value numpy's integers(0, k) or
+    random() would return, reproduced from raw words by _Draws.  The record
+    carries the generator id, seed, and knobs.  The reported values are
+    upper bounds for the capped minimum, not proofs.
     """
     slots_list = edge_slots(n)
     slots = len(slots_list)
@@ -330,20 +356,8 @@ def anneal_min_triangles(n: int, e: int, params: AnnealParams) -> FrontierRecord
     eu, ev, ec = (x.tolist() for x in _edge_codegrees(g))
     index = {s: i for i, s in enumerate(slots_list)}
     present = [index[ed] for ed in zip(eu, ev)]
-    present_pos = {s: i for i, s in enumerate(present)}
-    absent = [i for i in range(slots) if i not in present_pos]
-    absent_pos = {s: i for i, s in enumerate(absent)}
-
-    def remove_from(pool, pos, slot):
-        i = pos.pop(slot)
-        last = pool.pop()
-        if i < len(pool):
-            pool[i] = last
-            pos[last] = i
-
-    def push(pool, pos, slot):
-        pos[slot] = len(pool)
-        pool.append(slot)
+    taken = set(present)
+    absent = [i for i in range(slots) if i not in taken]
 
     # book[u][v] is the book of edge (u, v) while it is present; hist[c]
     # counts the present edges with book c
@@ -396,14 +410,14 @@ def anneal_min_triangles(n: int, e: int, params: AnnealParams) -> FrontierRecord
 
     record_state(cur_t, cur_b)
     temp = params.t0
+    draws = _Draws(rng)  # rng itself is not used again
 
     # with all or no slots occupied the space is a single graph: nothing to swap
     steps = params.budget if present and absent else 0
     for _ in range(steps):
-        ri = int(rng.integers(0, len(present)))
-        ai = int(rng.integers(0, len(absent)))
-        rem_slot = present[ri]
-        add_slot = absent[ai]
+        ri = draws.integers(len(present))
+        ai = draws.integers(len(absent))
+        rem_slot, add_slot = present[ri], absent[ai]
         ru, rv = slots_list[rem_slot]
         au, av = slots_list[add_slot]
 
@@ -438,12 +452,11 @@ def anneal_min_triangles(n: int, e: int, params: AnnealParams) -> FrontierRecord
                 accept = True
             else:
                 # temp may underflow to 0.0; the draw keeps the stream fixed
-                accept = rng.random() < (math.exp(-delta / temp) if temp else 0.0)
+                accept = draws.random() < (math.exp(-delta / temp) if temp else 0.0)
         if accept:
-            remove_from(present, present_pos, rem_slot)
-            push(present, present_pos, add_slot)
-            remove_from(absent, absent_pos, add_slot)
-            push(absent, absent_pos, rem_slot)
+            # each pool's last slot fills the hole, and the new slot goes last
+            present[ri], present[-1] = present[-1], add_slot
+            absent[ai], absent[-1] = absent[-1], rem_slot
             hist[book[ru][rv]] -= 1
             shift(ru, rv, adj[ru] & adj[rv], -1)
             adj[ru] ^= 1 << rv

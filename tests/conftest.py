@@ -18,6 +18,23 @@ from hypothesis import strategies as st
 import booktri as bt
 
 
+def enumerate_fixed_edges(n: int, e: int):
+    """Every labeled n-vertex graph with exactly e edges, each exactly once,
+    in lexicographic order of its edge subset.
+
+    Graphs are built edge by edge from itertools.combinations, independently
+    of the scan kernel, so this is the reference the scan is checked against.
+    It refuses what the scan refuses, through the scan's own guard.
+    """
+    slots = bt.search._guard(n, e)
+    table = bt.search.edge_slots(n)
+    for combo in combinations(range(slots), e):
+        g = bt.new_graph(n)
+        for i in combo:
+            g.add_edge(*table[i])
+        yield g
+
+
 def adjacency_sets(g: bt.Graph) -> list[set[int]]:
     adj = [set() for _ in range(g.n)]
     for u, v in g.edges():

@@ -186,6 +186,38 @@ def test_find_triangle():
     assert bt.find_triangle(complete(3)) == (0, 1, 2)
 
 
+def _first_triangle_full_kernel(g):
+    """find_triangle's witness read off the whole kernel: the first edge with
+    a common neighbour, and its lowest common neighbour."""
+    u, v, c = bt.analytics._edge_codegrees(g)
+    hit = np.flatnonzero(c)
+    if not hit.size:
+        return None
+    x, y = int(u[hit[0]]), int(v[hit[0]])
+    common = g.adj[x] & g.adj[y]
+    return tuple(sorted((x, y, (common & -common).bit_length() - 1)))
+
+
+@settings(deadline=None)
+@given(graphs(max_n=24))
+def test_find_triangle_matches_full_kernel(g):
+    assert bt.find_triangle(g) == _first_triangle_full_kernel(g)
+
+
+def test_find_triangle_across_chunks():
+    """K128,128 fills the kernel's first chunk of 2**14 edges exactly; what
+    comes after it decides whether, and where, a triangle is found."""
+    base = [(i, j) for i in range(128) for j in range(128, 256)]
+    assert len(base) == bt.analytics._CHUNK
+    for extra, expected in (
+        ([(256, 257), (257, 258)], None),
+        ([(256, 257), (256, 258), (257, 258)], (256, 257, 258)),
+        ([(0, 1), (256, 257)], (0, 1, 128)),
+    ):
+        g = bt.from_edge_list(259, base + extra)
+        assert bt.find_triangle(g) == _first_triangle_full_kernel(g) == expected
+
+
 @settings(deadline=None)
 @given(graphs(max_n=24))
 @example(bt.new_graph(1))

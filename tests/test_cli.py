@@ -1,6 +1,8 @@
+import dataclasses
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -114,6 +116,16 @@ def test_construct_rademacher(capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["predicted_t"] == 6 and report["predicted_b"] == 6
     assert report["measured_t"] == 6 and report["measured_b"] == 6
+
+
+def test_construct_self_check_failure_exits_3(monkeypatch, capsys):
+    good = bt.rademacher_extremal(12)
+    bad = dataclasses.replace(good, predicted_b=good.predicted_b + 1)
+    monkeypatch.setattr(cli, "rademacher_extremal", lambda n: bad)
+    assert main(["construct", "rademacher", "--n", "12"]) == 3
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["measured_b"] == good.predicted_b
+    assert captured.err == "self-check failed: predictions disagree with measurements\n"
 
 
 def test_construct_edwards_param_error(capsys):
@@ -260,3 +272,29 @@ def test_console_script_installed():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["measured_t"] == 5
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# stdout of each command, byte for byte.  The anneal and sweep outputs follow
+# numpy's PCG64 stream, so a change here means the random draws drifted.
+# Alpha 7/20 at n=40 is left out on purpose: its edwards_generalized book
+# reaches alpha*n/2, and that family is due to change.
+GOLDEN_COMMANDS = {
+    "frontier_anneal_6_10_cap7_seed1.json":
+        "frontier --n 6 --e 10 --mode anneal --book-cap 7 --seed 1 --format json",
+    "frontier_anneal_6_10_cap7_seed1.csv":
+        "frontier --n 6 --e 10 --mode anneal --book-cap 7 --seed 1 --format csv",
+    "frontier_anneal_12_37_cap12_seed1.json":
+        "frontier --n 12 --e 37 --mode anneal --book-cap 12 --seed 1 --format json",
+    "frontier_anneal_12_37_cap12_seed1.csv":
+        "frontier --n 12 --e 37 --mode anneal --book-cap 12 --seed 1 --format csv",
+    "sweep_40_seed1.csv": "sweep --n 40 --alphas 2/5,3/5,9/10 --seed 1 --format csv",
+    "sweep_40_seed1.json": "sweep --n 40 --alphas 2/5,3/5,9/10 --seed 1 --format json",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
+def test_cli_golden_bytes(name, capsys):
+    assert main(GOLDEN_COMMANDS[name].split()) == 0
+    assert capsys.readouterr().out.encode("ascii") == (GOLDEN / name).read_bytes()

@@ -5,27 +5,36 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import booktri as bt
-from conftest import anneal_reference, brute_max_book, brute_triangle_count, random_graph
+from conftest import (
+    anneal_reference,
+    brute_max_book,
+    brute_triangle_count,
+    enumerate_fixed_edges,
+    random_graph,
+)
 
 
 def test_enumerate_counts():
-    assert sum(1 for _ in bt.enumerate_fixed_edges(3, 3)) == 1
-    assert sum(1 for _ in bt.enumerate_fixed_edges(4, 2)) == 15
-    assert sum(1 for _ in bt.enumerate_fixed_edges(6, 10)) == 3003
+    assert sum(1 for _ in enumerate_fixed_edges(3, 3)) == 1
+    assert sum(1 for _ in enumerate_fixed_edges(4, 2)) == 15
+    assert sum(1 for _ in enumerate_fixed_edges(6, 10)) == 3003
 
 
 def test_enumerate_single_graph_is_triangle():
-    (g,) = list(bt.enumerate_fixed_edges(3, 3))
+    (g,) = list(enumerate_fixed_edges(3, 3))
     assert g.m == 3 and brute_triangle_count(g) == 1
 
 
 def test_enumerate_unique_and_ordered():
     masks = []
     slots = {e: i for i, e in enumerate(bt.search.edge_slots(5))}
-    for g in bt.enumerate_fixed_edges(5, 4):
+    for g in enumerate_fixed_edges(5, 4):
         mask = 0
         for e in g.edges():
             mask |= 1 << slots[e]
@@ -39,18 +48,18 @@ def test_enumerate_unique_and_ordered():
 
 def test_enumerate_guard():
     with pytest.raises(bt.ExplosionGuardError):
-        list(bt.enumerate_fixed_edges(9, 21))
+        list(enumerate_fixed_edges(9, 21))
 
 
 def test_enumerate_bad_edge_count():
     with pytest.raises(bt.ParameterError):
-        list(bt.enumerate_fixed_edges(4, 7))
+        list(enumerate_fixed_edges(4, 7))
 
 
 def _oracle_scan(n, e):
     """Independent frontier: enumerate graphs, count via set-based oracles."""
     pairs = {}
-    for rank, g in enumerate(bt.enumerate_fixed_edges(n, e)):
+    for rank, g in enumerate(enumerate_fixed_edges(n, e)):
         key = (brute_max_book(g), brute_triangle_count(g))
         if key not in pairs:
             pairs[key] = bt.to_graph6(g)
@@ -156,7 +165,7 @@ def test_scan_rejects_nonpositive_n():
         with pytest.raises(bt.ParameterError):
             bt.extremal_scan(n, 0)
         with pytest.raises(bt.ParameterError):
-            list(bt.enumerate_fixed_edges(n, 0))
+            list(enumerate_fixed_edges(n, 0))
 
 
 def test_clamp_workers():
@@ -305,6 +314,68 @@ def test_anneal_matches_full_recount_reference():
         assert _canonical(bt.anneal_min_triangles(n, e, params)) == expected, (n, e, params)
         ran += 1
     assert ran >= 15
+
+
+# bounds for _Draws: any k < 2**32, plus ranges where Lemire's method rejects
+# often (about 1/4 of draws near 3 * 2**30, 1/2 just above 2**31)
+_BOUNDS = st.one_of(
+    st.integers(1, 4),
+    st.integers(1, 2**32 - 1),
+    st.integers(3 * 2**30 - 64, 3 * 2**30),
+    st.integers(2**31 + 1, 2**31 + 64),
+)
+
+
+@settings(deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    odd_start=st.booleans(),
+    calls=st.lists(st.one_of(st.none(), _BOUNDS), max_size=300),
+)
+def test_draws_match_numpy_generator(seed, odd_start, calls):
+    """_Draws against a twin Generator on a random interleaving of
+    integers(k) and random() (None), draw for draw.  An odd start leaves
+    half a word buffered in both (has_uint32 set) before _Draws takes over;
+    the closing draws check that both streams end at the same position."""
+    rng, twin = (np.random.Generator(np.random.PCG64(seed)) for _ in range(2))
+    if odd_start:
+        assert rng.integers(0, 7) == twin.integers(0, 7)
+    assert rng.bit_generator.state == twin.bit_generator.state
+    draws = bt.search._Draws(rng)
+    for k in calls + [2, None]:
+        if k is None:
+            assert draws.random() == twin.random()
+        else:
+            assert draws.integers(k) == twin.integers(0, k), k
+
+
+def test_draws_bound_one_takes_no_word():
+    for has_half in (False, True):
+        rng, twin = (np.random.Generator(np.random.PCG64(5)) for _ in range(2))
+        if has_half:
+            rng.integers(0, 3)
+            twin.integers(0, 3)
+        assert rng.bit_generator.state["has_uint32"] == has_half
+        draws = bt.search._Draws(rng)
+        assert [draws.integers(1) for _ in range(5)] == [0] * 5
+        assert twin.integers(0, 1) == 0
+        assert twin.bit_generator.state == rng.bit_generator.state
+        for _ in range(3):
+            assert draws.integers(1000) == twin.integers(0, 1000)
+
+
+def test_anneal_degenerate_pools_match_reference():
+    """With one edge, or one non-edge, a pool holds a single slot and numpy
+    draws nothing for it.  Every state there has the same (t, b), so the
+    record is the random start's; that a bound of 1 takes no word is checked
+    on the draws themselves above."""
+    for n in range(3, 7):
+        slots = n * (n - 1) // 2
+        for e, cap in ((1, 1), (1, n), (slots - 1, n - 1), (slots - 1, n)):
+            for seed in (0, 1, 2**64 - 1):
+                params = bt.AnnealParams(book_cap=cap, budget=300, seed=seed)
+                expected = _canonical(anneal_reference(n, e, params))
+                assert _canonical(bt.anneal_min_triangles(n, e, params)) == expected, (n, e, cap)
 
 
 def test_strict_book_cap():
