@@ -46,7 +46,8 @@ def main():
     entries = bt.alpha_sweep(40, alphas, seed=7, budget=20_000)
     print("  " + bt.sweep_to_csv(entries).replace("\n", "\n  "))
 
-    print("  (csv columns: alpha, integer book cap, best t, which source won)")
+    print("  (csv columns: alpha, integer book cap, best t, which source won;")
+    print("   source none: no generator keeps its books under that cap at n = 40)")
 
 
 if __name__ == "__main__":

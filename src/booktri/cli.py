@@ -24,7 +24,7 @@ from .constructions import (
 )
 from .errors import BooktriError, EdgeListParseError
 from .graph import Graph
-from .partition import bipartize_rewire, stability_partition
+from .partition import _rewire, stability_partition
 from .search import (
     AnnealParams,
     alpha_sweep,
@@ -203,7 +203,7 @@ def _cmd_stability(args) -> int:
     report = stability_partition(g)
     _dump(report.to_json_dict(), args.format, args.out)
     if args.rewire:
-        _emit(to_graph6(bipartize_rewire(g)) + "\n", args.rewire_out)
+        _emit(to_graph6(_rewire(g, report)) + "\n", args.rewire_out)
     return EXIT_OK
 
 

@@ -176,7 +176,10 @@ def edwards_generalized(n: int, alpha) -> ConstructionReport:
     (p1, p2, p3): p1 is the largest integer strictly below alpha*n/2 and the
     rest splits evenly.  Each side is complete tripartite and X_i is joined
     completely to Y_i, so every triangle lies inside one side:
-    t = x1*x2*x3 + y1*y2*y3, and every cross edge has book 0.
+    t = x1*x2*x3 + y1*y2*y3, and every cross edge has book 0.  The largest
+    book is the largest part, so every part must be at most p1; the largest
+    of the rest is ceil((ceil(n/2) - p1)/2), so that holds iff
+    ceil(n/2) <= 3*p1, and other parameters are rejected.
     """
     alpha = as_alpha(alpha)
     if not Fraction(1, 3) < alpha < Fraction(1, 2):
@@ -184,15 +187,16 @@ def edwards_generalized(n: int, alpha) -> ConstructionReport:
     if n < 24:
         raise ParameterError(f"need n >= 24, got {n}")
     first = _strict_floor(alpha * n / 2)
+    side = (n + 1) // 2
+    if side > 3 * first:
+        raise ParameterError(f"no 3-part split of {side} stays below book cap {alpha * n / 2}")
 
     def side_parts(size: int) -> list[int]:
         rem = size - first
         return [first, (rem + 1) // 2, rem // 2]
 
-    xs = side_parts((n + 1) // 2)
+    xs = side_parts(side)
     ys = side_parts(n // 2)
-    if min(xs + ys) < 1:
-        raise ParameterError(f"empty part in {xs + ys} for n={n}, alpha={alpha}")
 
     sizes = xs + ys
     starts = [sum(sizes[:i]) for i in range(6)]

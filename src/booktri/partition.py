@@ -4,7 +4,8 @@ rewire built on it, and a deterministic local max-cut.
 For a triangle-free graph with floor(n^2/4) - k edges, splitting off the
 neighborhood of a maximum-degree vertex leaves at most k edges inside the
 parts, and rewiring those edges across the cut yields a simple bipartite
-graph with exactly internal_x more edges than the input.
+graph with exactly internal_x more edges than the input.  The split is
+measured once, and the rewire is computed from its masks row by row.
 """
 
 from __future__ import annotations
@@ -27,12 +28,7 @@ class Partition:
 
     @classmethod
     def from_mask(cls, g: Graph, y_mask: int) -> "Partition":
-        x_mask = ((1 << g.n) - 1) ^ y_mask
-        internal = 0
-        for v in range(g.n):
-            own = y_mask if (y_mask >> v) & 1 else x_mask
-            internal += (g.adj[v] & own).bit_count()
-        internal //= 2
+        internal = _inside(g, y_mask) + _inside(g, ((1 << g.n) - 1) ^ y_mask)
         return cls(
             n=g.n,
             y_mask=y_mask,
@@ -77,33 +73,58 @@ class StabilityReport:
         }
 
 
-def _require_triangle_free(g: Graph) -> None:
-    witness = find_triangle(g)
-    if witness is not None:
-        raise NotTriangleFreeError(witness)
+def _inside(g: Graph, mask: int) -> int:
+    """Number of edges with both ends in the vertex set mask."""
+    return sum((g.adj[v] & mask).bit_count() for v in _bits(mask)) // 2
 
 
 def stability_partition(g: Graph) -> StabilityReport:
     """Split V into Y = N(v) and X = rest, for the lowest-indexed vertex v of
     maximum degree.  Requires a triangle-free input."""
-    _require_triangle_free(g)
+    witness = find_triangle(g)
+    if witness is not None:
+        raise NotTriangleFreeError(witness)
     v = max(range(g.n), key=lambda u: (g.adj[u].bit_count(), -u))
     y_mask = g.adj[v]
-    part = Partition.from_mask(g, y_mask)
-    x_mask = ((1 << g.n) - 1) ^ y_mask
-    internal_y = 0
-    for u in _bits(y_mask):
-        internal_y += (g.adj[u] & y_mask).bit_count()
-    internal_y //= 2
-    internal_x = part.internal_edges - internal_y
+    internal_x = _inside(g, ((1 << g.n) - 1) ^ y_mask)
+    internal_y = _inside(g, y_mask)
+    internal = internal_x + internal_y
     return StabilityReport(
         n=g.n,
         m=g.m,
-        partition=part,
+        partition=Partition(g.n, y_mask, g.m - internal, internal),
         deficit_k=g.n * g.n // 4 - g.m,
         internal_x=internal_x,
         internal_y=internal_y,
     )
+
+
+def _rewire(g: Graph, report: StabilityReport) -> Graph:
+    """The rewire of bipartize_rewire, from a split of g already measured."""
+    y_mask = report.partition.y_mask
+    x_mask = ((1 << g.n) - 1) ^ y_mask
+    out = g.copy()
+    for w in _bits(x_mask):
+        s = (g.adj[w] & x_mask).bit_count()
+        if not s:
+            continue
+        free = y_mask & ~g.adj[w]
+        assert free.bit_count() >= s, "max-degree bound violated: not enough room in Y"
+        # the targets are the s lowest bits of free: bisect for the shortest
+        # low prefix of free that holds s bits
+        lo, hi = s, free.bit_length()
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if (free & ((1 << mid) - 1)).bit_count() < s:
+                lo = mid + 1
+            else:
+                hi = mid
+        targets = free & ((1 << lo) - 1)
+        out.adj[w] = (g.adj[w] & y_mask) | targets
+        for y in _bits(targets):
+            out.adj[y] |= 1 << w
+    out.m = g.m + report.internal_x
+    return out
 
 
 def bipartize_rewire(g: Graph) -> Graph:
@@ -113,34 +134,10 @@ def bipartize_rewire(g: Graph) -> Graph:
     lowest-indexed non-neighbors in Y, s counted in the original graph, so
     each deleted edge adds one new cross edge at either endpoint and
     e(G') = e(G) + internal_x.  The result is simple and bipartite with
-    sides X, Y.  d(w) <= d(v) = |Y| guarantees enough room in Y.
+    sides X, Y.  d(w) <= d(v) = |Y| guarantees enough room in Y.  The new
+    rows are computed from the split's masks.
     """
-    report = stability_partition(g)
-    y_mask = report.partition.y_mask
-    x_mask = ((1 << g.n) - 1) ^ y_mask
-
-    out = g.copy()
-    demand = {}
-    for w in _bits(x_mask):
-        s = (g.adj[w] & x_mask).bit_count()
-        if s:
-            demand[w] = s
-    for w, s in demand.items():
-        for u in _bits(g.adj[w] & x_mask):
-            if u > w:
-                out.remove_edge(w, u)
-    for w in sorted(demand):
-        s = demand[w]
-        free = y_mask & ~g.adj[w]
-        targets = []
-        for y in _bits(free):
-            targets.append(y)
-            if len(targets) == s:
-                break
-        assert len(targets) == s, "max-degree bound violated: not enough room in Y"
-        for y in targets:
-            out.add_edge(w, y)
-    return out
+    return _rewire(g, stability_partition(g))
 
 
 def local_max_cut(g: Graph, seed: Partition | None = None, count_scans: bool = False):

@@ -335,10 +335,10 @@ def anneal_min_triangles(n: int, e: int, params: AnnealParams) -> FrontierRecord
         if params.init.m != e:
             raise ParameterError(f"init has {params.init.m} edges, expected {e}")
         g = params.init.copy()
-        if max_book(g) >= params.book_cap:
-            raise ParameterError(
-                f"init violates book cap: b={max_book(g)} >= {params.book_cap}"
-            )
+        eu, ev, ec = (x.tolist() for x in _edge_codegrees(g))
+        b = max(ec, default=0)
+        if b >= params.book_cap:
+            raise ParameterError(f"init violates book cap: b={b} >= {params.book_cap}")
     else:
         g = None
         for _ in range(200):
@@ -352,8 +352,8 @@ def anneal_min_triangles(n: int, e: int, params: AnnealParams) -> FrontierRecord
                 f"no feasible random start under book cap {params.book_cap}; "
                 "provide init explicitly"
             )
+        eu, ev, ec = (x.tolist() for x in _edge_codegrees(g))
 
-    eu, ev, ec = (x.tolist() for x in _edge_codegrees(g))
     index = {s: i for i, s in enumerate(slots_list)}
     present = [index[ed] for ed in zip(eu, ev)]
     taken = set(present)
@@ -536,10 +536,9 @@ def alpha_sweep(
     tripartite family below 1/2, the rewired-vertex family above 1/2, the
     bipartite-plus-edge family when its book fits the cap), and an annealing
     run seeded by the best in-class generator tries to improve on them.
-    Generators whose book meets the cap are preferred; when none does (the
-    cap can sit at or below the least largest book of the class at small n) the entry
-    falls back to the best applicable generator, whose book then touches
-    the cap boundary.  The tripartite family carries floor(n^2/4) edges,
+    Each family refuses parameters where its book would reach the cap, so
+    every candidate is under the cap, and an alpha with none is reported
+    with source "none".  The tripartite family carries floor(n^2/4) edges,
     one below the threshold class, so for alpha < 1/2 annealing is skipped
     (no in-class seed under the cap).  Entries are empirical upper bounds
     only, never proofs of optimality.
@@ -568,18 +567,16 @@ def alpha_sweep(
                 candidates.append(("rademacher_extremal", rad))
         except ParameterError:
             pass
-        feasible = [(name, r) for name, r in candidates if r.predicted_b < cap]
-
         if not candidates:
             entries.append(SweepEntry(alpha, cap, None, "none", None))
             continue
 
-        name, best = min(feasible or candidates, key=lambda c: c[1].predicted_t)
+        name, best = min(candidates, key=lambda c: c[1].predicted_t)
         best_t = best.predicted_t
         best_g6 = to_graph6(best.graph)
         source = name
 
-        seeds = [(nm, r) for nm, r in feasible if r.e == target_e]
+        seeds = [(nm, r) for nm, r in candidates if r.e == target_e]
         if seeds:
             _, seed_report = min(seeds, key=lambda c: c[1].predicted_t)
             run = anneal_min_triangles(

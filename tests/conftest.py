@@ -343,3 +343,36 @@ def anneal_reference(n: int, e: int, params: bt.AnnealParams) -> bt.FrontierReco
             "decay": params.decay,
         },
     )
+
+
+def rewire_reference(g: bt.Graph) -> bt.Graph:
+    """The rewire as it was before it worked on row masks: a fresh split,
+    then every intra-X edge removed and every new cross edge added through
+    the graph's validated edge updates, one at a time."""
+    bits = bt.graph._bits
+    report = bt.stability_partition(g)
+    y_mask = report.partition.y_mask
+    x_mask = ((1 << g.n) - 1) ^ y_mask
+
+    out = g.copy()
+    demand = {}
+    for w in bits(x_mask):
+        s = (g.adj[w] & x_mask).bit_count()
+        if s:
+            demand[w] = s
+    for w, s in demand.items():
+        for u in bits(g.adj[w] & x_mask):
+            if u > w:
+                out.remove_edge(w, u)
+    for w in sorted(demand):
+        s = demand[w]
+        free = y_mask & ~g.adj[w]
+        targets = []
+        for y in bits(free):
+            targets.append(y)
+            if len(targets) == s:
+                break
+        assert len(targets) == s, "max-degree bound violated: not enough room in Y"
+        for y in targets:
+            out.add_edge(w, y)
+    return out

@@ -233,11 +233,13 @@ def test_sweep_requires_seed(capsys):
 
 def test_sweep_csv(tmp_path):
     out = tmp_path / "sweep.csv"
-    assert main(["sweep", "--n", "40", "--alphas", "7/20,9/10", "--seed", "1",
+    assert main(["sweep", "--n", "40", "--alphas", "7/20,2/5,9/10", "--seed", "1",
                  "--budget", "500", "--format", "csv", "--out", str(out)]) == 0
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "alpha,b_cap,t,source"
-    assert lines[1].split(",")[3] == "edwards_generalized"
+    # the tripartite family refuses (40, 7/20): its parts 6,7,7 put b at the cap
+    assert lines[1] == "7/20,7,,none"
+    assert lines[2].split(",")[3] == "edwards_generalized"
 
 
 def test_stability_c5(graph_files, capsys):
@@ -278,8 +280,8 @@ GOLDEN = Path(__file__).parent / "golden"
 
 # stdout of each command, byte for byte.  The anneal and sweep outputs follow
 # numpy's PCG64 stream, so a change here means the random draws drifted.
-# Alpha 7/20 at n=40 is left out on purpose: its edwards_generalized book
-# reaches alpha*n/2, and that family is due to change.
+# Alpha 7/20 at n=40 is left out on purpose: edwards_generalized refuses it,
+# and the in-class tripartite family that would serve it is still to come.
 GOLDEN_COMMANDS = {
     "frontier_anneal_6_10_cap7_seed1.json":
         "frontier --n 6 --e 10 --mode anneal --book-cap 7 --seed 1 --format json",
@@ -292,9 +294,20 @@ GOLDEN_COMMANDS = {
     "sweep_40_seed1.csv": "sweep --n 40 --alphas 2/5,3/5,9/10 --seed 1 --format csv",
     "sweep_40_seed1.json": "sweep --n 40 --alphas 2/5,3/5,9/10 --seed 1 --format json",
 }
+# the committed triangle-free corpus; with no --rewire-out the rewired
+# graph6 line follows the report on stdout
+for _graph in ("c5_blowup_3_5_2_4_6", "p4", "k5_5_minus_matching"):
+    for _ext in ("g6", "el"):
+        _input = f"{{golden}}/{_graph}.{_ext}"
+        GOLDEN_COMMANDS[f"analyze_{_graph}_{_ext}.json"] = f"analyze {_input}"
+        for _fmt in ("json", "csv"):
+            GOLDEN_COMMANDS[f"stability_rewire_{_graph}_{_ext}.{_fmt}"] = (
+                f"stability {_input} --rewire --format {_fmt}"
+            )
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
 def test_cli_golden_bytes(name, capsys):
-    assert main(GOLDEN_COMMANDS[name].split()) == 0
+    argv = [arg.format(golden=GOLDEN) for arg in GOLDEN_COMMANDS[name].split()]
+    assert main(argv) == 0
     assert capsys.readouterr().out.encode("ascii") == (GOLDEN / name).read_bytes()

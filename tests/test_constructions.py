@@ -128,11 +128,39 @@ def test_edwards_cross_edges_have_empty_books():
                 assert bt.book_size(g, u, v) == 0
 
 
+def test_edwards_refusal_matches_closed_form():
+    # The docstring's condition: refuse iff ceil(n/2) > 3s, s the largest
+    # integer strictly below alpha*n/2; every built graph keeps b < alpha*n/2.
+    mismatches = []
+    refusals = 0
+    for n in range(24, 401):
+        for p in range(34, 50):
+            alpha = Fraction(p, 100)
+            cap = alpha * n / 2
+            s = -(-cap.numerator // cap.denominator) - 1
+            predicted = (n + 1) // 2 > 3 * s
+            try:
+                r = bt.edwards_generalized(n, alpha)
+                refused = False
+                assert max(r.part_sizes) < cap
+            except bt.ParameterError:
+                refused = True
+            refusals += refused
+            if refused != predicted:
+                mismatches.append((n, p, predicted))
+    assert not mismatches, mismatches
+    assert refusals == 164
+
+
 def test_edwards_errors():
     with pytest.raises(bt.ParameterError):
         bt.edwards_generalized(120, Fraction(1, 4))
     with pytest.raises(bt.ParameterError):
         bt.edwards_generalized(10, Fraction(2, 5))
+    with pytest.raises(bt.ParameterError):
+        bt.edwards_generalized(100, Fraction(17, 50))  # parts 16,17,17: b = alpha*n/2
+    with pytest.raises(bt.ParameterError):
+        bt.edwards_generalized(26, Fraction(7, 20))  # b = 5 > 4.55
 
 
 def test_predicted_vs_actual():

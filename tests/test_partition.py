@@ -4,6 +4,7 @@ from itertools import product
 import pytest
 
 import booktri as bt
+from booktri.cli import main
 from conftest import (
     adjacency_sets,
     bipartite_minus_matching,
@@ -12,6 +13,7 @@ from conftest import (
     path,
     random_graph,
     random_triangle_free,
+    rewire_reference,
 )
 
 
@@ -80,6 +82,77 @@ def test_rewire_path4():
 def test_rewire_rejects_triangles():
     with pytest.raises(bt.NotTriangleFreeError):
         bt.bipartize_rewire(complete(4))
+
+
+def _c5_blowup(rng, sizes):
+    """C5 with vertex i replaced by an independent set of sizes[i], labels
+    shuffled: triangle-free, and its rewires are rarely trivial."""
+    label = list(range(sum(sizes)))
+    rng.shuffle(label)
+    parts, start = [], 0
+    for size in sizes:
+        parts.append(label[start:start + size])
+        start += size
+    edges = [(u, v) for i in range(5) for u in parts[i] for v in parts[(i + 1) % 5]]
+    return bt.from_edge_list(start, edges)
+
+
+def _tight(g, report):
+    """Whether some X vertex needs every free slot it has in Y."""
+    y_mask = report.partition.y_mask
+    x_mask = ((1 << g.n) - 1) ^ y_mask
+    return any(
+        0 < (g.adj[w] & x_mask).bit_count() == (y_mask & ~g.adj[w]).bit_count()
+        for w in range(g.n)
+        if (x_mask >> w) & 1
+    )
+
+
+def test_rewire_matches_reference():
+    rng = random.Random(2024)
+    cases = [cycle(5), path(4), bt.complete_bipartite(3, 4)]
+    # K5,5 minus a perfect matching: the matched partner of vertex 0 lands
+    # in X with four X neighbours and exactly four free slots in Y
+    g = bt.complete_bipartite(5, 5)
+    for u in range(5):
+        g.remove_edge(u, 5 + (u + 1) % 5)
+    cases.append(g)
+    for trial in range(600):
+        if trial % 3 == 0:
+            cases.append(_c5_blowup(rng, [rng.randint(1, 8) for _ in range(5)]))
+        elif trial % 3 == 1:
+            cases.append(bipartite_minus_matching(rng, rng.randint(2, 12), rng.randint(2, 12)))
+        else:
+            cases.append(random_triangle_free(rng, rng.randint(5, 40), rng.random() * 0.6))
+    tight = 0
+    for g in cases:
+        before = list(g.adj)
+        out, ref = bt.bipartize_rewire(g), rewire_reference(g)
+        assert out.adj == ref.adj and out.m == ref.m == ref.edge_count_recount()
+        assert g.adj == before, "the input graph must not change"
+        tight += _tight(g, bt.stability_partition(g))
+    assert _tight(cases[3], bt.stability_partition(cases[3]))
+    assert tight > 10
+
+
+def test_split_and_rewire_check_triangles_once(monkeypatch, tmp_path, capsys):
+    calls = []
+
+    def counting(g):
+        calls.append(g.n)
+        return bt.find_triangle(g)
+
+    monkeypatch.setattr(bt.partition, "find_triangle", counting)
+    g = _c5_blowup(random.Random(3), [3, 5, 2, 4, 6])
+    bt.bipartize_rewire(g)
+    assert calls == [20]
+    p = tmp_path / "c5b.g6"
+    p.write_text(bt.to_graph6(g))
+    calls.clear()
+    assert main(["stability", str(p), "--rewire"]) == 0
+    assert calls == [20]
+    out = capsys.readouterr().out.splitlines()[-1]
+    assert bt.from_graph6(out) == rewire_reference(g)
 
 
 def test_stability_bound_random_family():

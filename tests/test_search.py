@@ -227,8 +227,18 @@ def test_anneal_init_validation():
     with pytest.raises(bt.ParameterError):
         bt.anneal_min_triangles(6, 10, bt.AnnealParams(book_cap=7, budget=10, seed=1, init=init))
     dense = bt.rademacher_extremal(6).graph  # b = 3
-    with pytest.raises(bt.ParameterError):
+    with pytest.raises(bt.ParameterError, match=r"^init violates book cap: b=3 >= 3$"):
         bt.anneal_min_triangles(6, 10, bt.AnnealParams(book_cap=3, budget=10, seed=1, init=dense))
+
+
+def test_anneal_measures_init_once(monkeypatch):
+    calls = []
+    kernel = bt.search._edge_codegrees
+    monkeypatch.setattr(bt.search, "_edge_codegrees", lambda g: calls.append(g.m) or kernel(g))
+    monkeypatch.setattr(bt.search, "max_book", None)  # the init path must not need it
+    dense = bt.rademacher_extremal(6).graph
+    bt.anneal_min_triangles(6, 10, bt.AnnealParams(book_cap=4, budget=10, seed=1, init=dense))
+    assert calls == [10]
 
 
 def test_anneal_params_validation():
@@ -386,9 +396,11 @@ def test_strict_book_cap():
 
 
 def test_alpha_sweep_dispatch():
-    entries = bt.alpha_sweep(40, [Fraction(7, 20)], seed=1, budget=500)
+    entries = bt.alpha_sweep(40, [Fraction(2, 5), Fraction(7, 20)], seed=1, budget=500)
     assert entries[0].source == "edwards_generalized"
     assert entries[0].best_t == 588
+    # at 7/20 the tripartite parts 6,7,7 would put b at the cap, so it refuses
+    assert (entries[1].source, entries[1].best_t) == ("none", None)
 
 
 def test_alpha_sweep_high_alpha_density():
