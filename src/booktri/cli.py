@@ -22,7 +22,7 @@ from .constructions import (
     rademacher_extremal,
     theorem1_sharp,
 )
-from .errors import BooktriError, EdgeListParseError
+from .errors import BooktriError
 from .graph import Graph
 from .partition import _rewire, stability_partition
 from .search import (
@@ -65,13 +65,7 @@ def _load_graph(path: str) -> Graph:
             return from_graph6(fh.read())
     if path.endswith(".el"):
         with open(path, "rb") as fh:
-            raw = fh.read()
-        try:
-            text = raw.decode("ascii")
-        except UnicodeDecodeError as exc:
-            line = raw.count(b"\n", 0, exc.start) + 1
-            raise EdgeListParseError(f"non-ASCII byte {raw[exc.start]:#04x}", line) from None
-        return from_edge_list_text(text)
+            return from_edge_list_text(fh.read())
     raise _UsageError(f"cannot detect format of {path!r}: expected .g6 or .el")
 
 

@@ -10,7 +10,12 @@ order is exactly graph6's bit order.
 
 The edge-list format is one "u v" pair per line, 0-based.  Lines starting
 with '#' are comments; the writer emits "# n <count>" first so graphs with
-trailing isolated vertices survive a round trip.
+trailing isolated vertices survive a round trip.  The reader takes ASCII
+str or bytes.  It maps every byte to a code with one bytes.translate, finds
+tokens and line breaks (those of str.splitlines, CRLF as one) with numpy,
+and decodes every line of two tokens of at most four digits from one
+little-endian word per token.  Any other non-blank line is read on its own
+with str.split and int(), in line order, so errors name the first bad line.
 """
 
 from __future__ import annotations
@@ -110,42 +115,144 @@ def to_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def from_edge_list_text(text: str, n: int | None = None) -> Graph:
-    """Parse edge-list text.  n falls back to a "# n" comment, then max index + 1."""
-    pairs = []
-    maxv = -1
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            tokens = line[1:].split()
-            if n is None and len(tokens) == 2 and tokens[0] == "n":
-                try:
-                    n = int(tokens[1])
-                except ValueError:
-                    raise EdgeListParseError(f"bad vertex count {tokens[1]!r}", lineno)
-            continue
-        tokens = line.split()
-        if len(tokens) != 2:
-            raise EdgeListParseError(f"expected 'u v', got {line!r}", lineno)
+# Byte codes of the edge-list reader.  On ASCII they follow str.splitlines
+# and str.split: a line break ends a line, in-line space separates tokens and
+# every other byte belongs to a token.  A digit codes as its value and any
+# other token byte as _OTHER, so a token codes below _BREAK.
+_OTHER, _BREAK, _SPACE = 0x80, 0xE0, 0xF0
+_CODES = bytes(
+    b - 48 if 48 <= b <= 57
+    else _SPACE if b in b" \t\x1f"
+    else _BREAK if b in b"\n\r\v\f\x1c\x1d\x1e"
+    else _OTHER
+    for b in range(256)
+)
+_WORD = 4  # tokens of 1.._WORD digits are decoded in numpy, one uint32 each
+# the high bytes of a little-endian word that a token of 0.._WORD bytes fills
+_KEEP = np.array([(0xFFFFFFFF << 8 * (_WORD - k)) & 0xFFFFFFFF for k in range(_WORD + 1)],
+                 dtype=np.uint32)
+
+
+def _codes(data: bytes) -> bytes:
+    """The code of every byte.  The LF of a CRLF codes as space, so that
+    CRLF ends one line."""
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\r ")
+    return data.translate(_CODES)
+
+
+def _ascii(text: str | bytes) -> bytes:
+    """The input as ASCII bytes; the first non-ASCII byte or character
+    raises at its line."""
+    if isinstance(text, str):
         try:
-            u, v = int(tokens[0]), int(tokens[1])
-        except ValueError:
-            raise EdgeListParseError(f"non-integer vertex in {line!r}", lineno)
-        if u < 0 or v < 0:
-            raise EdgeListParseError(f"negative vertex in {line!r}", lineno)
-        if u == v:
-            raise EdgeListParseError(f"self-loop {u} {v}", lineno)
-        pairs.append((u, v))
-        maxv = max(maxv, u, v)
+            return text.encode("ascii")
+        except UnicodeEncodeError as exc:
+            at, what = exc.start, f"character {text[exc.start]!r}"
+            prefix = text[:at].encode("ascii")
+    elif text.isascii():
+        return text
+    else:
+        at = int(np.argmax(np.frombuffer(text, dtype=np.uint8) > 127))
+        what, prefix = f"byte {text[at]:#04x}", text[:at]
+    raise EdgeListParseError(f"non-ASCII {what}", 1 + _codes(prefix).count(_BREAK))
+
+
+def _short_numbers(coded: bytes, starts: np.ndarray, ends: np.ndarray):
+    """The value of each token, and whether it is 1.._WORD digits (the value
+    of any other token is meaningless).  coded holds the codes of the text
+    after _WORD bytes of padding."""
+    # word e holds the codes of text bytes e-4 .. e-1, first byte lowest, so
+    # word ends[k] ends with token k; bytes before the token become zeros
+    words = np.ndarray((len(coded) - _WORD + 1,), dtype="<u4", buffer=coded, strides=(1,))
+    length = ends - starts
+    w = words[ends] & _KEEP[np.minimum(length, _WORD)]
+    short = ((w & 0x80808080) == 0) & (length <= _WORD)  # digits code as 0..9
+    # digits a b c d, a lowest: times 1 + 10 * 2**8 puts 10a + b in byte 1
+    # and 10c + d in byte 3; shifted down and masked, times 1 + 100 * 2**16
+    # puts 100(10a + b) + 10c + d in bits 16 and up
+    w = ((w * 2561) >> 8) & 0x00FF00FF
+    return (w * 6553601) >> 16, short
+
+
+def _parse_line(raw: str, lineno: int, n: int | None) -> tuple[int | None, tuple[int, int] | None]:
+    """One non-blank line the vectorised pass left over: a comment, which may
+    set n, or a "u v" pair.  Returns n and the pair, if the line held one."""
+    line = raw.strip()
+    if line.startswith("#"):
+        tokens = line[1:].split()
+        if n is None and len(tokens) == 2 and tokens[0] == "n":
+            try:
+                n = int(tokens[1])
+            except ValueError:
+                raise EdgeListParseError(f"bad vertex count {tokens[1]!r}", lineno)
+        return n, None
+    tokens = line.split()
+    if len(tokens) != 2:
+        raise EdgeListParseError(f"expected 'u v', got {line!r}", lineno)
+    try:
+        u, v = int(tokens[0]), int(tokens[1])
+    except ValueError:
+        raise EdgeListParseError(f"non-integer vertex in {line!r}", lineno)
+    if u < 0 or v < 0:
+        raise EdgeListParseError(f"negative vertex in {line!r}", lineno)
+    if u == v:
+        raise EdgeListParseError(f"self-loop {u} {v}", lineno)
+    return n, (u, v)
+
+
+def from_edge_list_text(text: str | bytes, n: int | None = None) -> Graph:
+    """Parse edge-list text, ASCII only.  n falls back to the first "# n"
+    comment, then max index + 1.
+
+    Lines and tokens are those of str.splitlines and str.split.  A line of
+    two tokens of one to four digits is decoded in one numpy pass over the
+    bytes; every other non-blank line goes through _parse_line in line
+    order, so the first error by line is the one raised.  Errors carry a
+    1-based line, or line 0 for a vertex outside the count.
+    """
+    data = _ascii(text)
+    pad = bytes([_BREAK])
+    coded = pad * _WORD + _codes(data) + pad
+    code = np.frombuffer(coded, dtype=np.uint8)[_WORD - 1:]  # from the last pad byte
+    tok = code < _BREAK
+    bounds = (tok[1:] != tok[:-1]).nonzero()[0]
+    starts, ends = bounds[0::2], bounds[1::2]
+    # A break at code index i is text byte i - 1, so edges[k] counts the
+    # tokens that start before break k.  The pad bytes code as breaks, so
+    # line k (0-based) holds tokens edges[k] .. edges[k+1] - 1.
+    edges = starts.searchsorted((code == _BREAK).nonzero()[0])
+    first, count = edges[:-1], edges[1:] - edges[:-1]
+
+    values, short = _short_numbers(coded, starts, ends)
+    two = (count == 2).nonzero()[0]
+    u = first[two]
+    fast = short[u] & short[u + 1]
+    fast_lines, u = two[fast], u[fast]
+    uv = values[u[:, None] + (0, 1)]
+    loops = (uv[:, 0] == uv[:, 1]).nonzero()[0]
+    stop = int(fast_lines[loops[0]]) if loops.size else len(count)
+
+    count[fast_lines] = 0  # leaves the lines _parse_line reads
+    slow_lines = count[:stop].nonzero()[0]
+    lo = starts[first[slow_lines]]
+    hi = ends[edges[slow_lines + 1] - 1]
+    pairs = []
+    for li, a, b in zip(slow_lines.tolist(), lo.tolist(), hi.tolist()):
+        n, got = _parse_line(data[a:b].decode("ascii"), li + 1, n)
+        if got is not None:
+            pairs.append(got)
+    if loops.size:
+        v = int(uv[loops[0], 0])
+        raise EdgeListParseError(f"self-loop {v} {v}", stop + 1)
+    maxv = max([int(uv.max()) if uv.size else -1, *map(max, pairs)])
 
     if n is None:
         n = maxv + 1 if maxv >= 0 else 1
     if maxv >= n:
         raise EdgeListParseError(f"vertex {maxv} outside declared count {n}", 0)
     g = Graph(n)  # refuses a bad count before the matrix is allocated
-    us, vs = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    us, vs = np.concatenate((uv, np.array(pairs, dtype=np.intp).reshape(-1, 2))).T
     matrix = np.zeros((n, n), dtype=bool)
     matrix[us, vs] = matrix[vs, us] = True
     return _set_row_bits(g, matrix)

@@ -120,6 +120,58 @@ def graphs(draw, max_n: int) -> bt.Graph:
     return g
 
 
+@st.composite
+def graph6_like(draw) -> bytes:
+    """A header for n in 0..140, a payload of about the right length in
+    mostly printable bytes (random padding bits included), sometimes with
+    one arbitrary byte, and optional whitespace or a >>graph6<< prefix."""
+    n = draw(st.integers(0, 140))
+    if n <= 62:
+        head = bytes([n + 63])
+    else:
+        head = bytes([126, (n >> 12) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63])
+    expect = (n * (n - 1) // 2 + 5) // 6
+    size = draw(st.sampled_from([expect, expect, expect, max(expect - 1, 0), expect + 1]))
+    payload = bytearray(draw(st.binary(min_size=size, max_size=size)))
+    for i in range(size):
+        payload[i] = 63 + payload[i] % 64
+    if size and draw(st.booleans()):
+        payload[draw(st.integers(0, size - 1))] = draw(st.integers(0, 255))
+    prefix = draw(st.sampled_from([b"", b" ", b">>graph6<<", b">>graph6<< \n"]))
+    return prefix + head + bytes(payload) + draw(st.sampled_from([b"", b"\n"]))
+
+
+# pieces of the edge-list grammar and its near misses: digits and long
+# numbers, every ASCII space and line break str.split and str.splitlines
+# know, comments and headers, signs and underscores int() accepts, letters
+_EL_PIECES = [
+    "0", "1", "2", "3", "7", "10", "0012", "1023", "12345", "99999",
+    " ", "  ", "\t", "\x1f", "\n", "\n", "\r", "\r\n", "\v", "\f", "\x1c",
+    "#", "# n ", "+", "-", "_", "n", "a", "x",
+]
+
+
+@st.composite
+def edge_list_like(draw):
+    """Edge-list text as str or bytes: well-formed "u v" lines and
+    headers mixed with single grammar pieces, sometimes one non-ASCII."""
+    line = st.builds(
+        "{}{}{}{}".format,
+        st.integers(0, 12),
+        st.sampled_from([" ", "\t", " \x1f "]),
+        st.integers(0, 12),
+        st.sampled_from(["\n", "\r\n", "\r", "\v"]),
+    )
+    header = st.builds("# n {}\n".format, st.integers(0, 14))
+    parts = draw(st.lists(st.one_of(line, header, st.sampled_from(_EL_PIECES)), max_size=24))
+    text = "".join(parts)
+    as_bytes = draw(st.booleans())
+    if draw(st.integers(0, 7)) == 0:
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + "\xe9" + text[at:]
+    return text.encode("latin-1") if as_bytes else text
+
+
 def cycle(n: int) -> bt.Graph:
     return bt.from_edge_list(n, [(i, (i + 1) % n) for i in range(n)])
 
@@ -239,6 +291,57 @@ def graph6_reference_decode(data: str | bytes) -> bt.Graph:
             if u == v:
                 u, v = 0, v + 1
     return g
+
+
+def edge_list_reference(text: str | bytes, n: int | None = None) -> bt.Graph:
+    """The per-line parser the codec replaced, with its ASCII rule in front:
+    the first non-ASCII byte or character is refused at its line, every
+    line of the ASCII text then goes through str.splitlines, strip and
+    split, and the graph is built edge by edge."""
+    if isinstance(text, bytes):
+        try:
+            text = text.decode("ascii")
+        except UnicodeDecodeError as exc:
+            line = len((text[: exc.start].decode("ascii") + "x").splitlines())
+            raise bt.EdgeListParseError(f"non-ASCII byte {text[exc.start]:#04x}", line) from None
+    for i, ch in enumerate(text):
+        if ord(ch) > 127:
+            line = len((text[:i] + "x").splitlines())
+            raise bt.EdgeListParseError(f"non-ASCII character {ch!r}", line)
+
+    pairs = []
+    maxv = -1
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            tokens = line[1:].split()
+            if n is None and len(tokens) == 2 and tokens[0] == "n":
+                try:
+                    n = int(tokens[1])
+                except ValueError:
+                    raise bt.EdgeListParseError(f"bad vertex count {tokens[1]!r}", lineno)
+            continue
+        tokens = line.split()
+        if len(tokens) != 2:
+            raise bt.EdgeListParseError(f"expected 'u v', got {line!r}", lineno)
+        try:
+            u, v = int(tokens[0]), int(tokens[1])
+        except ValueError:
+            raise bt.EdgeListParseError(f"non-integer vertex in {line!r}", lineno)
+        if u < 0 or v < 0:
+            raise bt.EdgeListParseError(f"negative vertex in {line!r}", lineno)
+        if u == v:
+            raise bt.EdgeListParseError(f"self-loop {u} {v}", lineno)
+        pairs.append((u, v))
+        maxv = max(maxv, u, v)
+
+    if n is None:
+        n = maxv + 1 if maxv >= 0 else 1
+    if maxv >= n:
+        raise bt.EdgeListParseError(f"vertex {maxv} outside declared count {n}", 0)
+    return bt.from_edge_list(n, pairs)
 
 
 def anneal_reference(n: int, e: int, params: bt.AnnealParams) -> bt.FrontierRecord:

@@ -5,11 +5,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import booktri as bt
 from booktri import cli
 from booktri.cli import main
-from conftest import anneal_reference, complete, cycle
+from conftest import anneal_reference, complete, cycle, edge_list_like, graph6_like
 
 
 @pytest.fixture()
@@ -96,6 +98,35 @@ def test_error_exit_code_mapping(monkeypatch, capsys, exc, code, prefix):
     assert exc.exit_code == code
     assert main(["analyze", "any.g6"]) == code
     assert capsys.readouterr().err == f"{prefix}: {exc}\n"
+
+
+def _as_bytes(text) -> bytes:
+    return text if isinstance(text, bytes) else text.encode("latin-1")
+
+
+@settings(deadline=None, max_examples=300,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    st.one_of(
+        st.tuples(st.just("el"), st.one_of(edge_list_like().map(_as_bytes), st.binary(max_size=40))),
+        st.tuples(st.just("g6"), st.one_of(graph6_like(), st.binary(max_size=24))),
+    ),
+    st.sampled_from(["json", "csv"]),
+)
+def test_analyze_fuzzed_file_exit_codes(tmp_path, capsys, file, fmt):
+    """A fuzzed .el or .g6 file ends with a documented exit code and, on
+    failure, exactly one labelled stderr line and no traceback."""
+    ext, data = file
+    path = tmp_path / f"fuzz.{ext}"
+    path.write_bytes(data)
+    code = main(["analyze", str(path), "--format", fmt])
+    out, err = capsys.readouterr()
+    assert code in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_PARSE, cli.EXIT_HYPOTHESIS, cli.EXIT_GUARD)
+    if code == cli.EXIT_OK:
+        assert out and not err
+    else:
+        assert err.startswith(f"{cli._LABELS[code]}: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
 
 def test_analyze_unknown_extension(tmp_path, capsys):
@@ -293,7 +324,17 @@ GOLDEN_COMMANDS = {
         "frontier --n 12 --e 37 --mode anneal --book-cap 12 --seed 1 --format csv",
     "sweep_40_seed1.csv": "sweep --n 40 --alphas 2/5,3/5,9/10 --seed 1 --format csv",
     "sweep_40_seed1.json": "sweep --n 40 --alphas 2/5,3/5,9/10 --seed 1 --format json",
+    # the CRLF copy of p4.el, with a comment line, reads as the same graph
+    "analyze_p4_crlf_el.json": "analyze {golden}/p4_crlf.el",
 }
+for _fmt in ("json", "csv"):
+    GOLDEN_COMMANDS.update({
+        f"construct_rademacher_10.{_fmt}": f"construct rademacher --n 10 --format {_fmt}",
+        f"construct_theorem1_40_7_10.{_fmt}":
+            f"construct theorem1 --n 40 --alpha 7/10 --format {_fmt}",
+        f"construct_edwards_48_2_5.{_fmt}": f"construct edwards --n 48 --alpha 2/5 --format {_fmt}",
+        f"frontier_exhaustive_6_10.{_fmt}": f"frontier --n 6 --e 10 --mode exhaustive --format {_fmt}",
+    })
 # the committed triangle-free corpus; with no --rewire-out the rewired
 # graph6 line follows the report on stdout
 for _graph in ("c5_blowup_3_5_2_4_6", "p4", "k5_5_minus_matching"):
@@ -311,3 +352,9 @@ def test_cli_golden_bytes(name, capsys):
     argv = [arg.format(golden=GOLDEN) for arg in GOLDEN_COMMANDS[name].split()]
     assert main(argv) == 0
     assert capsys.readouterr().out.encode("ascii") == (GOLDEN / name).read_bytes()
+
+
+def test_cli_golden_crlf_matches_lf():
+    assert (GOLDEN / "analyze_p4_crlf_el.json").read_bytes() == (
+        GOLDEN / "analyze_p4_el.json"
+    ).read_bytes()

@@ -8,6 +8,9 @@ from hypothesis import strategies as st
 import booktri as bt
 from conftest import (
     complete,
+    edge_list_like,
+    edge_list_reference,
+    graph6_like,
     graph6_reference_decode,
     graph6_reference_encode,
     graphs,
@@ -123,32 +126,12 @@ def test_graph6_matches_reference_encoder(g):
     assert back == g and back.m == g.m
 
 
-@st.composite
-def graph6_like(draw) -> bytes:
-    """A header for n in 0..140, a payload of about the right length in
-    mostly printable bytes (random padding bits included), sometimes with
-    one arbitrary byte, and optional whitespace or a >>graph6<< prefix."""
-    n = draw(st.integers(0, 140))
-    if n <= 62:
-        head = bytes([n + 63])
-    else:
-        head = bytes([126, (n >> 12) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63])
-    expect = (n * (n - 1) // 2 + 5) // 6
-    size = draw(st.sampled_from([expect, expect, expect, max(expect - 1, 0), expect + 1]))
-    payload = bytearray(draw(st.binary(min_size=size, max_size=size)))
-    for i in range(size):
-        payload[i] = 63 + payload[i] % 64
-    if size and draw(st.booleans()):
-        payload[draw(st.integers(0, size - 1))] = draw(st.integers(0, 255))
-    prefix = draw(st.sampled_from([b"", b" ", b">>graph6<<", b">>graph6<< \n"]))
-    return prefix + head + bytes(payload) + draw(st.sampled_from([b"", b"\n"]))
-
-
-def _decode_outcome(decode, data):
+def _decode_outcome(decode, *args):
+    """The graph decoded, or the error's class, message and position."""
     try:
-        g = decode(data)
-    except (bt.Graph6ParseError, bt.GraphSizeError) as exc:
-        return type(exc), str(exc), getattr(exc, "offset", None)
+        g = decode(*args)
+    except (bt.Graph6ParseError, bt.EdgeListParseError, bt.GraphSizeError) as exc:
+        return type(exc), str(exc), getattr(exc, "offset", getattr(exc, "line", None))
     return g.n, g.adj, g.m
 
 
@@ -199,3 +182,23 @@ def test_edge_list_roundtrip_property(g):
 def test_edge_list_duplicate_pairs_counted_once():
     g = bt.from_edge_list_text("# n 5\n0 1\n1 0\n0 1\n3 4\n")
     assert g == bt.from_edge_list(5, [(0, 1), (3, 4)]) and g.m == 2
+
+
+@settings(deadline=None, max_examples=500)
+@given(edge_list_like(), st.one_of(st.none(), st.integers(-1, 14)))
+@example(b"# n 4\r\n0 1\r\n\r\n2 x\r\n", None)  # CRLF ends one line
+@example("0 1\n# n 5\n", None)  # the header may follow the edges
+@example("# n 5\n# n 3\n0 4\n# n x\n", None)  # only the first header counts
+@example("0 1\n2 2\n# n x\n", None)  # the self-loop comes first
+@example("0 1\n# n x\n2 2\n", None)  # the bad header comes first
+@example("1 2\n+3 3\n4 4\n", None)  # a self-loop read by int()
+@example("", None)
+@example(b"", None)
+@example("# one\n#\n  # n 3\n", None)  # comments only
+@example("# n 9\n0 1\n", 4)  # an explicit n wins over the header
+@example("0 5\n", 3)
+def test_edge_list_matches_reference(data, n):
+    """Same graph, or the same error class, message and line."""
+    assert _decode_outcome(bt.from_edge_list_text, data, n) == _decode_outcome(
+        edge_list_reference, data, n
+    )
