@@ -16,12 +16,7 @@ import sys
 
 from .analytics import analyze_report
 from .codec import from_edge_list_text, from_graph6, to_graph6
-from .constructions import (
-    as_alpha,
-    edwards_generalized,
-    rademacher_extremal,
-    theorem1_sharp,
-)
+from .constructions import edwards_generalized, rademacher_extremal, theorem1_sharp
 from .errors import BooktriError
 from .graph import Graph
 from .partition import _rewire, stability_partition
@@ -119,14 +114,11 @@ def _cmd_analyze(args) -> int:
 def _cmd_construct(args) -> int:
     if args.kind == "rademacher":
         report = rademacher_extremal(args.n)
-    elif args.kind == "theorem1":
-        if args.alpha is None:
-            raise _UsageError("construct theorem1 requires --alpha p/q")
-        report = theorem1_sharp(args.n, as_alpha(args.alpha))
+    elif args.alpha is None:
+        raise _UsageError(f"construct {args.kind} requires --alpha p/q")
     else:
-        if args.alpha is None:
-            raise _UsageError("construct edwards requires --alpha p/q")
-        report = edwards_generalized(args.n, as_alpha(args.alpha))
+        build = {"theorem1": theorem1_sharp, "edwards": edwards_generalized}[args.kind]
+        report = build(args.n, args.alpha)  # each family parses alpha itself
     d = report.to_json_dict()  # measures (t, b) once, for the report and the check
     _dump(d, args.format, args.out)
     if args.graph_out:

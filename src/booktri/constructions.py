@@ -186,6 +186,7 @@ def edwards_generalized(n: int, alpha) -> ConstructionReport:
         raise ParameterError(f"alpha must be in (1/3, 1/2), got {alpha}")
     if n < 24:
         raise ParameterError(f"need n >= 24, got {n}")
+    g = Graph(n)  # refuses n above the vertex cap before the part rows are built
     first = _strict_floor(alpha * n / 2)
     side = (n + 1) // 2
     if side > 3 * first:
@@ -201,7 +202,6 @@ def edwards_generalized(n: int, alpha) -> ConstructionReport:
     sizes = xs + ys
     starts = [sum(sizes[:i]) for i in range(6)]
     masks = [((1 << s) - 1) << lo for s, lo in zip(sizes, starts)]
-    g = Graph(n)
     for i in range(6):
         # the rest of part i's own side plus the matching part across
         row = sum(masks[j] for j in range(6) if (j // 3 == i // 3) != (j % 3 == i % 3))

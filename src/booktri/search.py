@@ -16,6 +16,10 @@ O(m).  Its draws are numpy's: the values Generator.integers and random()
 give on the seeded PCG64 stream (numpy >= 2.0), computed from raw words in
 bulk.  Heuristic results are empirical upper bounds on the true minimum,
 never proofs.
+
+The alpha sweep tries every extremal family at each alpha.  Each family
+refuses the parameters outside its own domain, so the sweep keeps whatever
+fits the cap and needs no domain rules of its own.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .analytics import _edge_codegrees, max_book
+from .analytics import _edge_codegrees
 from .codec import to_graph6
 from .constructions import (
     ConstructionReport,
@@ -41,7 +45,7 @@ from .constructions import (
     theorem1_sharp,
 )
 from .errors import ExplosionGuardError, ParameterError
-from .graph import Graph, _set_row_bits
+from .graph import Graph
 
 EXHAUSTIVE_VERTEX_LIMIT = 8
 RNG_ALGORITHM = "numpy-pcg64"
@@ -55,16 +59,6 @@ _BLOCK = 1 << 18  # graphs per scan block; bounds the memory of each thread
 def edge_slots(n: int) -> list[tuple[int, int]]:
     """Slot index -> (u, v) with u < v, lexicographic."""
     return [(u, v) for u in range(n) for v in range(u + 1, n)]
-
-
-def graph_from_edge_mask(n: int, mask: int) -> Graph:
-    """The graph whose edges are the slots i with bit i of mask set."""
-    g = Graph(n)
-    slots = n * (n - 1) // 2
-    raw = np.frombuffer(mask.to_bytes(-(-slots // 8), "little"), dtype=np.uint8)
-    bits = np.zeros((n, n), dtype=bool)
-    bits[~np.tri(n, dtype=bool)] = np.unpackbits(raw, count=slots, bitorder="little")
-    return _set_row_bits(g, bits | bits.T)
 
 
 def _guard(n: int, e: int) -> int:
@@ -178,9 +172,10 @@ def extremal_scan(n: int, e: int, threads: int = 1) -> FrontierRecord:
     the high halves of popcount h with every low half of popcount e-h, both
     in descending order, so the block itself is in rank order.  Codegrees
     come from popcounts of ANDed vertex rows; each block keeps its first
-    graph per pair of its local Pareto set, and merging keeps the largest
-    mask, i.e. the lowest rank.  The record is identical for any thread
-    count.
+    graph per pair of its local Pareto set as its (high, low) halves, and
+    merging keeps the largest pair, i.e. the largest mask and lowest rank.
+    A witness's rows are its halves' table rows ORed.  The record is
+    identical for any thread count.
     """
     slots = _guard(n, e)
     low = slots // 2
@@ -194,7 +189,7 @@ def extremal_scan(n: int, e: int, threads: int = 1) -> FrontierRecord:
         step = max(1, _BLOCK // los.size)
         jobs.extend((his[i : i + step], los) for i in range(0, his.size, step))
 
-    def scan_block(job) -> dict[tuple[int, int], int]:
+    def scan_block(job) -> dict[tuple[int, int], tuple[int, int]]:
         his, los = job
         rows = hi_rows[:, his][:, :, None] | lo_rows[:, los][:, None, :]
         tri3 = np.zeros(rows.shape[1:], dtype=np.uint8)  # n <= 8: 3t <= 168
@@ -209,21 +204,23 @@ def extremal_scan(n: int, e: int, threads: int = 1) -> FrontierRecord:
         out = {}
         for pair in pareto_min(found):
             row, col = divmod(int(np.argmax(key == found[pair])), los.size)
-            out[pair] = int(his[row]) << low | int(los[col])
+            out[pair] = (int(his[row]), int(los[col]))
         return out
 
-    best: dict[tuple[int, int], int] = {}
+    best: dict[tuple[int, int], tuple[int, int]] = {}
     with ThreadPoolExecutor(clamp_workers(threads, os.cpu_count(), len(jobs))) as pool:
         for part in pool.map(scan_block, jobs):
-            for pair, mask in part.items():
-                best[pair] = max(mask, best.get(pair, 0))
+            for pair, halves in part.items():
+                best[pair] = max(halves, best.get(pair, halves))
+
+    def witness(hi: int, lo: int) -> str:
+        g = Graph(n)
+        g.adj = (hi_rows[:, hi] | lo_rows[:, lo]).tolist()
+        g.m = e
+        return to_graph6(g)
 
     frontier = pareto_min(best)
-    witnesses = [
-        # bit slots-1-i of a scan mask is slot i; graph_from_edge_mask wants bit i
-        to_graph6(graph_from_edge_mask(n, int(f"{best[p]:0{slots}b}"[::-1], 2)))
-        for p in frontier
-    ]
+    witnesses = [witness(*best[p]) for p in frontier]
     return FrontierRecord(
         n=n,
         e=e,
@@ -244,7 +241,8 @@ class AnnealParams:
     """Knobs for one annealing run.
 
     book_cap is a strict upper bound: states with max book >= book_cap are
-    rejected outright, keeping the whole walk inside the capped class.
+    rejected outright, keeping the whole walk inside the capped class.  No
+    graph has a book below 0, so the cap must be at least 1.
     Temperature starts at t0 > 0 and decays geometrically per proposal; once
     it underflows to 0.0 no uphill move is accepted.  A proposal costs
     O(codegree) whatever the edge count (see anneal_min_triangles).
@@ -258,6 +256,8 @@ class AnnealParams:
     decay: float = 0.9995
 
     def __post_init__(self):
+        if self.book_cap < 1:
+            raise ParameterError(f"book cap must be >= 1, got {self.book_cap}")
         if self.budget < 1:
             raise ParameterError(f"budget must be >= 1, got {self.budget}")
         if not (math.isfinite(self.t0) and self.t0 > 0):
@@ -323,6 +323,7 @@ def anneal_min_triangles(n: int, e: int, params: AnnealParams) -> FrontierRecord
     carries the generator id, seed, and knobs.  The reported values are
     upper bounds for the capped minimum, not proofs.
     """
+    Graph(n)  # refuses n outside 1..MAX_VERTICES before the slot table is built
     slots_list = edge_slots(n)
     slots = len(slots_list)
     if not 0 <= e <= slots:
@@ -340,28 +341,29 @@ def anneal_min_triangles(n: int, e: int, params: AnnealParams) -> FrontierRecord
         if b >= params.book_cap:
             raise ParameterError(f"init violates book cap: b={b} >= {params.book_cap}")
     else:
-        g = None
         for _ in range(200):
-            chosen = rng.choice(slots, size=e, replace=False)
-            cand = graph_from_edge_mask(n, sum(1 << int(i) for i in chosen))
-            if max_book(cand) < params.book_cap:
-                g = cand
+            g = Graph(n)
+            for i in rng.choice(slots, size=e, replace=False).tolist():
+                u, v = slots_list[i]
+                g.adj[u] |= 1 << v
+                g.adj[v] |= 1 << u
+            g.m = e
+            eu, ev, ec = (x.tolist() for x in _edge_codegrees(g))
+            if max(ec, default=0) < params.book_cap:
                 break
-        if g is None:
+        else:
             raise ParameterError(
                 f"no feasible random start under book cap {params.book_cap}; "
                 "provide init explicitly"
             )
-        eu, ev, ec = (x.tolist() for x in _edge_codegrees(g))
 
-    index = {s: i for i, s in enumerate(slots_list)}
-    present = [index[ed] for ed in zip(eu, ev)]
-    taken = set(present)
-    absent = [i for i in range(slots) if i not in taken]
+    adj = g.adj
+    present, absent = [], []
+    for i, (u, v) in enumerate(slots_list):
+        (present if adj[u] >> v & 1 else absent).append(i)
 
     # book[u][v] is the book of edge (u, v) while it is present; hist[c]
     # counts the present edges with book c
-    adj = g.adj
     book = [[0] * n for _ in range(n)]
     for u, v, c in zip(eu, ev, ec):
         book[u][v] = book[v][u] = c
@@ -532,15 +534,14 @@ def alpha_sweep(
 ) -> list[SweepEntry]:
     """Best known t at floor(n^2/4)+1 edges under each book cap alpha*n/2.
 
-    For every alpha the applicable generators are tried (the two-sided
-    tripartite family below 1/2, the rewired-vertex family above 1/2, the
-    bipartite-plus-edge family when its book fits the cap), and an annealing
-    run seeded by the best in-class generator tries to improve on them.
-    Each family refuses parameters where its book would reach the cap, so
-    every candidate is under the cap, and an alpha with none is reported
-    with source "none".  The tripartite family carries floor(n^2/4) edges,
-    one below the threshold class, so for alpha < 1/2 annealing is skipped
-    (no in-class seed under the cap).  Entries are empirical upper bounds
+    For every alpha each family is tried (the two-sided tripartite blow-up,
+    the rewired-vertex graph, the bipartite-plus-edge graph).  A family
+    refuses the alphas and n outside its own domain, and the sweep keeps
+    every report whose book fits the cap; an alpha with none is reported
+    with source "none".  An annealing run seeded by the best in-class report
+    then tries to improve on them.  The tripartite family carries
+    floor(n^2/4) edges, one below the threshold class, so where it is the
+    only candidate annealing is skipped.  Entries are empirical upper bounds
     only, never proofs of optimality.
     """
     target_e = n * n // 4 + 1
@@ -551,34 +552,27 @@ def alpha_sweep(
             raise ParameterError(f"alpha must be in (1/3, 1), got {alpha}")
         cap = strict_book_cap(n, alpha)
         candidates: list[tuple[str, ConstructionReport]] = []
-        if alpha < Fraction(1, 2):
+        for build, args in (
+            (edwards_generalized, (n, alpha)),
+            (theorem1_sharp, (n, alpha)),
+            (rademacher_extremal, (n,)),
+        ):
             try:
-                candidates.append(("edwards_generalized", edwards_generalized(n, alpha)))
+                report = build(*args)
             except ParameterError:
-                pass
-        if alpha > Fraction(1, 2) and n % 2 == 0:
-            try:
-                candidates.append(("theorem1_sharp", theorem1_sharp(n, alpha)))
-            except ParameterError:
-                pass
-        try:
-            rad = rademacher_extremal(n)
-            if rad.predicted_b < cap:
-                candidates.append(("rademacher_extremal", rad))
-        except ParameterError:
-            pass
+                continue
+            if report.predicted_b < cap:
+                candidates.append((build.__name__, report))
         if not candidates:
             entries.append(SweepEntry(alpha, cap, None, "none", None))
             continue
 
-        name, best = min(candidates, key=lambda c: c[1].predicted_t)
+        source, best = min(candidates, key=lambda c: c[1].predicted_t)
         best_t = best.predicted_t
         best_g6 = to_graph6(best.graph)
-        source = name
 
-        seeds = [(nm, r) for nm, r in candidates if r.e == target_e]
+        seeds = [r for _, r in candidates if r.e == target_e]
         if seeds:
-            _, seed_report = min(seeds, key=lambda c: c[1].predicted_t)
             run = anneal_min_triangles(
                 n,
                 target_e,
@@ -586,16 +580,15 @@ def alpha_sweep(
                     book_cap=cap,
                     budget=budget,
                     seed=(seed + i) % 2**64,
-                    init=seed_report.graph,
+                    init=min(seeds, key=lambda r: r.predicted_t).graph,
                 ),
             )
             if run.min_t < best_t:
                 best_t = run.min_t
                 source = "anneal"
-                idx = min(
-                    range(len(run.pareto)), key=lambda j: run.pareto[j][1]
-                )
-                best_g6 = run.witnesses[idx]
+                # t strictly falls along a frontier sorted by b: the last
+                # point is the one with min_t
+                best_g6 = run.witnesses[-1]
         entries.append(SweepEntry(alpha, cap, best_t, source, best_g6))
     return entries
 

@@ -5,7 +5,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import booktri as bt
@@ -100,6 +100,9 @@ def test_error_exit_code_mapping(monkeypatch, capsys, exc, code, prefix):
     assert capsys.readouterr().err == f"{prefix}: {exc}\n"
 
 
+_EXIT_CODES = (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_PARSE, cli.EXIT_HYPOTHESIS, cli.EXIT_GUARD)
+
+
 def _as_bytes(text) -> bytes:
     return text if isinstance(text, bytes) else text.encode("latin-1")
 
@@ -115,18 +118,81 @@ def _as_bytes(text) -> bytes:
 )
 def test_analyze_fuzzed_file_exit_codes(tmp_path, capsys, file, fmt):
     """A fuzzed .el or .g6 file ends with a documented exit code and, on
-    failure, exactly one labelled stderr line and no traceback."""
+    failure, exactly one labelled stderr line and no traceback, whether it
+    is analyzed or split (with and without the rewire)."""
     ext, data = file
     path = tmp_path / f"fuzz.{ext}"
     path.write_bytes(data)
-    code = main(["analyze", str(path), "--format", fmt])
+    for command in (["analyze"], ["stability"], ["stability", "--rewire"]):
+        code = main(command + [str(path), "--format", fmt])
+        out, err = capsys.readouterr()
+        assert code in _EXIT_CODES, command
+        if code == cli.EXIT_OK:
+            assert out and not err, command
+        else:
+            assert err.startswith(f"{cli._LABELS[code]}: ") and err.count("\n") == 1, command
+            assert "Traceback" not in err
+
+
+_ALPHAS = ["2/5", "7/10", "1/2", "0.5", "1/0", "-3/5", "", "7/20,3/5"]
+
+
+def _flag(name, values):
+    """--name with one drawn value, or (one time in four) no --name at all."""
+    given_flag = values.map(lambda v: [f"--{name}", str(v)])
+    return st.integers(0, 3).flatmap(lambda k: given_flag if k else st.just([]))
+
+
+@st.composite
+def _search_argv(draw):
+    """construct, frontier or sweep with valid and invalid flag values; n of
+    10**9 and more must be refused before anything of that size is built."""
+    command = draw(st.sampled_from(["construct", "frontier", "sweep"]))
+    n = draw(st.sampled_from([-1, 0, 1, 3, 6, 12, 24, 40, 1025, 10**9, 10**10]))
+    alpha = _flag("alpha", st.sampled_from(_ALPHAS))
+    seed = _flag("seed", st.sampled_from([-1, 0, 1, 7, 2**64 - 1, 2**64]))
+    budget = _flag("budget", st.integers(-1, 200))
+    if command == "construct":
+        kind = draw(st.sampled_from(["rademacher", "theorem1", "edwards"]))
+        return ["construct", kind, "--n", str(n)] + draw(alpha)
+    if command == "sweep":
+        alphas = draw(st.sampled_from(_ALPHAS))
+        return ["sweep", "--n", str(n), f"--alphas={alphas}"] + draw(seed) + draw(budget)
+    mode = draw(st.sampled_from(["exhaustive", "anneal"]))
+    e = draw(st.sampled_from([-1, 0, 1, 7, 10, 37, 145, 401]))
+    return (
+        ["frontier", "--n", str(n), "--e", str(e), "--mode", mode]
+        + draw(_flag("threads", st.sampled_from([-1, 0, 1, 2])))
+        + draw(seed)
+        + draw(_flag("book-cap", st.integers(-2, 12)))
+        + draw(budget)
+    )
+
+
+@settings(deadline=None, max_examples=150,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_search_argv(), st.sampled_from(["json", "csv"]))
+# each of these once allocated without bound, or spent 37 s before refusing
+@example(["frontier", "--mode", "anneal", "--n", "1000000000", "--e", "1",
+          "--book-cap", "5", "--seed", "1"], "json")
+@example(["construct", "edwards", "--n", "10000000000", "--alpha", "2/5"], "json")
+@example(["sweep", "--n", "10000000000", "--alphas=7/20,3/5", "--seed", "1"], "csv")
+@example(["frontier", "--n", "400", "--e", "40001", "--mode", "anneal",
+          "--book-cap", "0", "--seed", "1"], "json")
+def test_search_fuzzed_flags_exit_codes(capsys, argv, fmt):
+    """Fuzzed construct/frontier/sweep flags end, in process, with a
+    documented exit code; a failure prints one labelled line (after
+    argparse's usage block, if any) and no traceback."""
+    code = main(argv + ["--format", fmt])
     out, err = capsys.readouterr()
-    assert code in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_PARSE, cli.EXIT_HYPOTHESIS, cli.EXIT_GUARD)
+    assert code in _EXIT_CODES
+    assert "Traceback" not in err
     if code == cli.EXIT_OK:
-        assert out and not err
+        assert out
     else:
-        assert err.startswith(f"{cli._LABELS[code]}: ") and err.count("\n") == 1
-        assert "Traceback" not in err
+        usage, _, last = err.rstrip("\n").rpartition("\n")
+        assert last.startswith(f"{cli._LABELS[code]}: ")
+        assert not usage or usage.startswith("usage: ")
 
 
 def test_analyze_unknown_extension(tmp_path, capsys):
@@ -226,6 +292,14 @@ def test_frontier_anneal_rejects_bad_t0(t0, capsys):
                  "--book-cap", "7", "--seed", "1", "--t0", t0, "--budget", "50"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: t0 ") and err.count("\n") == 1
+
+
+def test_frontier_anneal_rejects_cap_below_one(capsys):
+    # no graph has a largest book below 0, so cap 0 leaves an empty class;
+    # it is refused at once rather than after 200 random starts
+    assert main(["frontier", "--n", "6", "--e", "10", "--mode", "anneal",
+                 "--book-cap", "0", "--seed", "1"]) == 1
+    assert capsys.readouterr().err == "error: book cap must be >= 1, got 0\n"
 
 
 def test_frontier_anneal_temperature_underflow(tmp_path):

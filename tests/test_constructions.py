@@ -161,6 +161,9 @@ def test_edwards_errors():
         bt.edwards_generalized(100, Fraction(17, 50))  # parts 16,17,17: b = alpha*n/2
     with pytest.raises(bt.ParameterError):
         bt.edwards_generalized(26, Fraction(7, 20))  # b = 5 > 4.55
+    # refused by the vertex cap before any part row is built
+    with pytest.raises(bt.GraphSizeError):
+        bt.edwards_generalized(10**10, "2/5")
 
 
 def test_predicted_vs_actual():

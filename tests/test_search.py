@@ -235,10 +235,28 @@ def test_anneal_measures_init_once(monkeypatch):
     calls = []
     kernel = bt.search._edge_codegrees
     monkeypatch.setattr(bt.search, "_edge_codegrees", lambda g: calls.append(g.m) or kernel(g))
-    monkeypatch.setattr(bt.search, "max_book", None)  # the init path must not need it
     dense = bt.rademacher_extremal(6).graph
     bt.anneal_min_triangles(6, 10, bt.AnnealParams(book_cap=4, budget=10, seed=1, init=dense))
     assert calls == [10]
+    # a random start measures each candidate once: the first fits a loose
+    # cap, and under cap 1 all 200 fail (10 edges on 6 vertices close a triangle)
+    calls.clear()
+    bt.anneal_min_triangles(6, 10, bt.AnnealParams(book_cap=7, budget=10, seed=1))
+    assert calls == [10]
+    calls.clear()
+    with pytest.raises(bt.ParameterError, match="no feasible random start"):
+        bt.anneal_min_triangles(6, 10, bt.AnnealParams(book_cap=1, budget=10, seed=1))
+    assert calls == [10] * 200
+
+
+@pytest.mark.parametrize("n", [0, -1, 10**9])
+def test_anneal_refuses_vertex_count_before_allocating(monkeypatch, n):
+    def fail(n):
+        raise AssertionError("edge_slots built before the vertex count was checked")
+
+    monkeypatch.setattr(bt.search, "edge_slots", fail)
+    with pytest.raises(bt.GraphSizeError):
+        bt.anneal_min_triangles(n, 1, bt.AnnealParams(book_cap=5, budget=10, seed=1))
 
 
 def test_anneal_params_validation():
@@ -248,6 +266,8 @@ def test_anneal_params_validation():
         bt.AnnealParams(book_cap=3, budget=10, seed=1, decay=1.5)
     with pytest.raises(bt.ParameterError):
         bt.AnnealParams(book_cap=3, budget=10, seed=-1)
+    with pytest.raises(bt.ParameterError, match=r"^book cap must be >= 1, got 0$"):
+        bt.AnnealParams(book_cap=0, budget=10, seed=1)
 
 
 def _canonical(record) -> str:
@@ -423,13 +443,20 @@ def test_sweep_csv_format():
     assert len(lines) == 3
 
 
-def test_graph_from_edge_mask_roundtrip():
-    rng = random.Random(1)
-    for _ in range(50):
-        n = rng.randint(2, 10)
-        slots = math.comb(n, 2)
-        mask = rng.getrandbits(slots)
-        g = bt.graph_from_edge_mask(n, mask)
-        table = bt.search.edge_slots(n)
-        assert sorted(g.edges()) == [table[i] for i in range(slots) if mask >> i & 1]
-        assert g.m == bin(mask).count("1")
+def test_family_domains_cover_sweep_guards():
+    """The families refuse outside their domains and never report a book at
+    or above the cap, so alpha_sweep needs no alpha or parity guards."""
+    for n in range(4, 81):
+        for p in range(21, 60):  # alpha = p/60 in (1/3, 1)
+            alpha = Fraction(p, 60)
+            cap = bt.strict_book_cap(n, alpha)
+            for build, refuses in (
+                (bt.edwards_generalized, alpha >= Fraction(1, 2)),
+                (bt.theorem1_sharp, alpha <= Fraction(1, 2) or n % 2),
+            ):
+                try:
+                    report = build(n, alpha)
+                except bt.ParameterError:
+                    continue
+                assert not refuses, (build.__name__, n, alpha)
+                assert report.predicted_b < cap, (build.__name__, n, alpha)
