@@ -96,7 +96,7 @@ def triangle_count(g: Graph) -> TriangleStats:
 
 
 def book_profile(g: Graph) -> BookProfile:
-    if g.m == 0:
+    if not any(g.adj):
         raise EmptyGraphError("book profile of an edgeless graph is undefined")
     u, v, c = _edge_codegrees(g)
     i = int(c.argmax())  # first max, and edges are lexicographic, so ties go low
@@ -134,7 +134,7 @@ def find_triangle(g: Graph) -> tuple[int, int, int] | None:
 def analyze_report(g: Graph) -> dict:
     """Summary dict {n, m, t, b, max_edge, histogram} used by report files."""
     u, v, c = _edge_codegrees(g)
-    if g.m == 0:
+    if not c.size:
         b, max_edge, hist = None, None, {}
     else:
         i = int(c.argmax())
@@ -142,7 +142,7 @@ def analyze_report(g: Graph) -> dict:
         hist = {str(size): k for size, k in enumerate(np.bincount(c).tolist()) if k}
     return {
         "n": g.n,
-        "m": g.m,
+        "m": c.size,
         "t": _t_and_b(c)[0],
         "b": b,
         "max_edge": max_edge,

@@ -206,7 +206,6 @@ def edwards_generalized(n: int, alpha) -> ConstructionReport:
         # the rest of part i's own side plus the matching part across
         row = sum(masks[j] for j in range(6) if (j // 3 == i // 3) != (j % 3 == i % 3))
         g.adj[starts[i]:starts[i] + sizes[i]] = [row] * sizes[i]
-    g.m = g.edge_count_recount()
 
     return ConstructionReport(
         kind="edwards",

@@ -4,7 +4,8 @@ Adjacency rows are Python integers used as n-bit sets, so neighborhood
 intersections are a single ``&`` and common-neighbor counts a single
 ``int.bit_count()``.  The vertex cap keeps rows at a fixed small size
 (1024 bits = 16 machine words).  Whole-graph kernels convert all rows at
-once to packed words or a boolean matrix and back.
+once to packed words or a boolean matrix and back.  The rows are a graph's
+only state: the edge count is read off them, never stored beside them.
 """
 
 from __future__ import annotations
@@ -31,17 +32,23 @@ class Graph:
 
     Rows stay symmetric and loop-free through every mutation.  The mutating
     methods are intended for a single-owner build phase; once built, a graph
-    can be shared freely between concurrent readers.
+    can be shared freely between concurrent readers.  The edge count m is a
+    read-only property computed from the rows in O(n), so a caller that needs
+    it more than once reads it into a local.
     """
 
-    __slots__ = ("n", "adj", "m")
+    __slots__ = ("n", "adj")
 
     def __init__(self, n: int):
         if not isinstance(n, int) or not 1 <= n <= MAX_VERTICES:
             raise GraphSizeError(f"vertex count {n!r} outside 1..{MAX_VERTICES}")
         self.n = n
         self.adj = [0] * n
-        self.m = 0
+
+    @property
+    def m(self) -> int:
+        """Number of edges: half the sum of the row popcounts."""
+        return sum(row.bit_count() for row in self.adj) // 2
 
     # -- validation -------------------------------------------------------
 
@@ -60,19 +67,15 @@ class Graph:
     def add_edge(self, u: int, v: int) -> "Graph":
         """Set edge {u, v}; idempotent.  Returns self for chaining."""
         self._check_pair(u, v)
-        if not (self.adj[u] >> v) & 1:
-            self.adj[u] |= 1 << v
-            self.adj[v] |= 1 << u
-            self.m += 1
+        self.adj[u] |= 1 << v
+        self.adj[v] |= 1 << u
         return self
 
     def remove_edge(self, u: int, v: int) -> "Graph":
         """Clear edge {u, v}; idempotent."""
         self._check_pair(u, v)
-        if (self.adj[u] >> v) & 1:
-            self.adj[u] &= ~(1 << v)
-            self.adj[v] &= ~(1 << u)
-            self.m -= 1
+        self.adj[u] &= ~(1 << v)
+        self.adj[v] &= ~(1 << u)
         return self
 
     # -- queries ------------------------------------------------------------
@@ -80,10 +83,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         self._check_pair(u, v)
         return bool((self.adj[u] >> v) & 1)
-
-    def degree(self, v: int) -> int:
-        self._check_vertex(v)
-        return self.adj[v].bit_count()
 
     def neighbors(self, v: int) -> list[int]:
         self._check_vertex(v)
@@ -96,15 +95,10 @@ class Graph:
             for off in _bits(high):
                 yield (u, u + 1 + off)
 
-    def edge_count_recount(self) -> int:
-        """Recount edges from the rows (cache cross-check)."""
-        return sum(row.bit_count() for row in self.adj) // 2
-
     def copy(self) -> "Graph":
         g = Graph.__new__(Graph)
         g.n = self.n
         g.adj = list(self.adj)
-        g.m = self.m
         return g
 
     def __eq__(self, other) -> bool:
@@ -135,7 +129,6 @@ def _set_row_bits(g: Graph, bits: np.ndarray) -> Graph:
     packed = np.packbits(bits, axis=1, bitorder="little")
     buf, width = packed.tobytes(), packed.shape[1]
     g.adj = [int.from_bytes(buf[i:i + width], "little") for i in range(0, len(buf), width)]
-    g.m = int(np.count_nonzero(bits)) // 2
     return g
 
 
@@ -157,7 +150,6 @@ def complete_bipartite(a: int, b: int) -> Graph:
         g.adj[u] = right
     for v in range(a, a + b):
         g.adj[v] = left
-    g.m = a * b
     return g
 
 

@@ -5,7 +5,8 @@ For a triangle-free graph with floor(n^2/4) - k edges, splitting off the
 neighborhood of a maximum-degree vertex leaves at most k edges inside the
 parts, and rewiring those edges across the cut yields a simple bipartite
 graph with exactly internal_x more edges than the input.  The split is
-measured once, and the rewire is computed from its masks row by row.
+measured once, and the rewire is computed from its masks in one pass per X
+vertex.  Edge counts are read off the rows (Graph.m), once per call.
 """
 
 from __future__ import annotations
@@ -89,11 +90,12 @@ def stability_partition(g: Graph) -> StabilityReport:
     internal_x = _inside(g, ((1 << g.n) - 1) ^ y_mask)
     internal_y = _inside(g, y_mask)
     internal = internal_x + internal_y
+    m = g.m
     return StabilityReport(
         n=g.n,
-        m=g.m,
-        partition=Partition(g.n, y_mask, g.m - internal, internal),
-        deficit_k=g.n * g.n // 4 - g.m,
+        m=m,
+        partition=Partition(g.n, y_mask, m - internal, internal),
+        deficit_k=g.n * g.n // 4 - m,
         internal_x=internal_x,
         internal_y=internal_y,
     )
@@ -110,20 +112,12 @@ def _rewire(g: Graph, report: StabilityReport) -> Graph:
             continue
         free = y_mask & ~g.adj[w]
         assert free.bit_count() >= s, "max-degree bound violated: not enough room in Y"
-        # the targets are the s lowest bits of free: bisect for the shortest
-        # low prefix of free that holds s bits
-        lo, hi = s, free.bit_length()
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if (free & ((1 << mid) - 1)).bit_count() < s:
-                lo = mid + 1
-            else:
-                hi = mid
-        targets = free & ((1 << lo) - 1)
-        out.adj[w] = (g.adj[w] & y_mask) | targets
-        for y in _bits(targets):
-            out.adj[y] |= 1 << w
-    out.m = g.m + report.internal_x
+        rest = free
+        for _ in range(s):  # the s lowest bits of free are w's new neighbours
+            low = rest & -rest
+            rest ^= low
+            out.adj[low.bit_length() - 1] |= 1 << w
+        out.adj[w] = (g.adj[w] & y_mask) | (free ^ rest)
     return out
 
 
@@ -140,20 +134,19 @@ def bipartize_rewire(g: Graph) -> Graph:
     return _rewire(g, stability_partition(g))
 
 
-def local_max_cut(g: Graph, seed: Partition | None = None, count_scans: bool = False):
+def local_max_cut(g: Graph, seed: Partition | None = None) -> Partition:
     """Improve a partition by single-vertex flips until none helps.
 
     Each pass visits the vertices in index order and flips every vertex
     whose flip improves the cut at that moment; passes repeat until one
     makes no move.  At the fixed point every vertex has at least as many
     neighbors across the cut as on its own side.  Each flip raises
-    cross_edges by at least 1, so there are at most m improving passes.
-    Defaults to the all-X start.
-
-    With count_scans=True returns (partition, improving_passes).
+    cross_edges by at least 1, so there are at most m improving passes,
+    which an assertion checks.  Defaults to the all-X start.
     """
     y_mask = seed.y_mask if seed is not None else 0
     full = (1 << g.n) - 1
+    max_passes = max(g.m, 1)
     improving_passes = 0
     while True:
         moved = False
@@ -167,8 +160,5 @@ def local_max_cut(g: Graph, seed: Partition | None = None, count_scans: bool = F
         if not moved:
             break
         improving_passes += 1
-        assert improving_passes <= max(g.m, 1), "cut failed to stabilize within m passes"
-    part = Partition.from_mask(g, y_mask)
-    if count_scans:
-        return part, improving_passes
-    return part
+        assert improving_passes <= max_passes, "cut failed to stabilize within m passes"
+    return Partition.from_mask(g, y_mask)

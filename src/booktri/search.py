@@ -216,7 +216,6 @@ def extremal_scan(n: int, e: int, threads: int = 1) -> FrontierRecord:
     def witness(hi: int, lo: int) -> str:
         g = Graph(n)
         g.adj = (hi_rows[:, hi] | lo_rows[:, lo]).tolist()
-        g.m = e
         return to_graph6(g)
 
     frontier = pareto_min(best)
@@ -333,9 +332,9 @@ def anneal_min_triangles(n: int, e: int, params: AnnealParams) -> FrontierRecord
     if params.init is not None:
         if params.init.n != n:
             raise ParameterError(f"init has {params.init.n} vertices, expected {n}")
-        if params.init.m != e:
-            raise ParameterError(f"init has {params.init.m} edges, expected {e}")
         g = params.init.copy()
+        if g.m != e:
+            raise ParameterError(f"init has {g.m} edges, expected {e}")
         eu, ev, ec = (x.tolist() for x in _edge_codegrees(g))
         b = max(ec, default=0)
         if b >= params.book_cap:
@@ -347,7 +346,6 @@ def anneal_min_triangles(n: int, e: int, params: AnnealParams) -> FrontierRecord
                 u, v = slots_list[i]
                 g.adj[u] |= 1 << v
                 g.adj[v] |= 1 << u
-            g.m = e
             eu, ev, ec = (x.tolist() for x in _edge_codegrees(g))
             if max(ec, default=0) < params.book_cap:
                 break
@@ -544,6 +542,7 @@ def alpha_sweep(
     only candidate annealing is skipped.  Entries are empirical upper bounds
     only, never proofs of optimality.
     """
+    Graph(n)  # refuses n outside 1..MAX_VERTICES before any family is tried
     target_e = n * n // 4 + 1
     entries = []
     for i, raw in enumerate(alphas):

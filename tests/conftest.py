@@ -285,7 +285,6 @@ def graph6_reference_decode(data: str | bytes) -> bt.Graph:
             if (group >> k) & 1:
                 g.adj[u] |= 1 << v
                 g.adj[v] |= 1 << u
-                g.m += 1
             bit += 1
             u += 1
             if u == v:

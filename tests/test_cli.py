@@ -143,21 +143,49 @@ def _flag(name, values):
     return st.integers(0, 3).flatmap(lambda k: given_flag if k else st.just([]))
 
 
+# --init files for the (6, 10) anneal under --book-cap 3, as "@name" stand-ins
+# for paths in a temporary directory: E}lG is a feasible start (b=2), E}ow
+# breaks the cap (b=3), then a graph on 7 vertices, one with 9 edges, and an
+# unknown extension
+_INIT_FILES = {
+    "start.g6": "E}lG",
+    "over_cap.g6": "E}ow",
+    "wrong_n.g6": bt.to_graph6(bt.rademacher_extremal(7).graph),
+    "wrong_m.el": "# n 6\n" + "".join(f"{u} {v}\n" for u, v in bt.complete_bipartite(3, 3).edges()),
+    "init.txt": "E}lG",
+}
+_INITS = ["@" + name for name in _INIT_FILES] + ["@missing.g6", "@dir.g6"]
+# "@dir.g6" is a directory, and "@missing.g6" has no file
+_OUTS = ["@out.txt", "@dir.g6", "@missing/out.txt"]
+
+
 @st.composite
 def _search_argv(draw):
     """construct, frontier or sweep with valid and invalid flag values; n of
-    10**9 and more must be refused before anything of that size is built."""
-    command = draw(st.sampled_from(["construct", "frontier", "sweep"]))
+    10**9 and more must be refused before anything of that size is built.
+    The anneal branch fuzzes the start, temperature and output flags of a
+    (6, 10) run, where a feasible --init exists."""
+    command = draw(st.sampled_from(["construct", "frontier", "sweep", "anneal"]))
     n = draw(st.sampled_from([-1, 0, 1, 3, 6, 12, 24, 40, 1025, 10**9, 10**10]))
     alpha = _flag("alpha", st.sampled_from(_ALPHAS))
     seed = _flag("seed", st.sampled_from([-1, 0, 1, 7, 2**64 - 1, 2**64]))
     budget = _flag("budget", st.integers(-1, 200))
+    out = draw(_flag("out", st.sampled_from(_OUTS)))  # no flag: stdout
     if command == "construct":
         kind = draw(st.sampled_from(["rademacher", "theorem1", "edwards"]))
-        return ["construct", kind, "--n", str(n)] + draw(alpha)
+        return ["construct", kind, "--n", str(n)] + draw(alpha) + out
     if command == "sweep":
         alphas = draw(st.sampled_from(_ALPHAS))
-        return ["sweep", "--n", str(n), f"--alphas={alphas}"] + draw(seed) + draw(budget)
+        return ["sweep", "--n", str(n), f"--alphas={alphas}"] + draw(seed) + draw(budget) + out
+    if command == "anneal":
+        return (
+            ["frontier", "--n", "6", "--e", "10", "--mode", "anneal", "--book-cap", "3"]
+            + ["--seed", "1", "--budget", "50"]
+            + draw(_flag("t0", st.sampled_from(["2.0", "0", "-1", "nan", "inf", "1e-300"])))
+            + draw(_flag("decay", st.sampled_from(["0.9995", "0.5", "0", "1", "-0.1", "nan"])))
+            + draw(_flag("init", st.sampled_from(_INITS)))
+            + out
+        )
     mode = draw(st.sampled_from(["exhaustive", "anneal"]))
     e = draw(st.sampled_from([-1, 0, 1, 7, 10, 37, 145, 401]))
     return (
@@ -166,7 +194,17 @@ def _search_argv(draw):
         + draw(seed)
         + draw(_flag("book-cap", st.integers(-2, 12)))
         + draw(budget)
+        + out
     )
+
+
+@pytest.fixture()
+def search_files(tmp_path):
+    """The directory that "@name" arguments point into."""
+    for name, text in _INIT_FILES.items():
+        (tmp_path / name).write_text(text)
+    (tmp_path / "dir.g6").mkdir()
+    return tmp_path
 
 
 @settings(deadline=None, max_examples=150,
@@ -179,20 +217,42 @@ def _search_argv(draw):
 @example(["sweep", "--n", "10000000000", "--alphas=7/20,3/5", "--seed", "1"], "csv")
 @example(["frontier", "--n", "400", "--e", "40001", "--mode", "anneal",
           "--book-cap", "0", "--seed", "1"], "json")
-def test_search_fuzzed_flags_exit_codes(capsys, argv, fmt):
+@example(["frontier", "--n", "6", "--e", "10", "--mode", "anneal", "--book-cap", "3",
+          "--seed", "1", "--budget", "50", "--init", "@start.g6", "--out", "@out.txt"], "json")
+@example(["frontier", "--n", "6", "--e", "10", "--mode", "anneal", "--book-cap", "3",
+          "--seed", "1", "--init", "@over_cap.g6", "--t0", "nan"], "csv")
+@example(["frontier", "--n", "6", "--e", "10", "--mode", "anneal", "--book-cap", "3",
+          "--seed", "1", "--init", "@init.txt", "--out", "@dir.g6"], "json")
+@example(["sweep", "--n", "40", "--alphas=7/20", "--seed", "1", "--out", "@missing/out.txt"], "csv")
+def test_search_fuzzed_flags_exit_codes(search_files, capsys, argv, fmt):
     """Fuzzed construct/frontier/sweep flags end, in process, with a
     documented exit code; a failure prints one labelled line (after
-    argparse's usage block, if any) and no traceback."""
+    argparse's usage block, if any) and no traceback.  A sweep over fewer
+    than one vertex never succeeds."""
+    result = search_files / "out.txt"
+    result.unlink(missing_ok=True)
+    argv = [str(search_files / a[1:]) if a.startswith("@") else a for a in argv]
     code = main(argv + ["--format", fmt])
     out, err = capsys.readouterr()
     assert code in _EXIT_CODES
     assert "Traceback" not in err
+    if argv[0] == "sweep" and int(argv[2]) < 1:
+        assert code != cli.EXIT_OK
     if code == cli.EXIT_OK:
-        assert out
+        assert out or result.read_text()
     else:
         usage, _, last = err.rstrip("\n").rpartition("\n")
         assert last.startswith(f"{cli._LABELS[code]}: ")
         assert not usage or usage.startswith("usage: ")
+
+
+@pytest.mark.parametrize("n", ["-1", "0"])
+def test_sweep_rejects_nonpositive_n(capsys, n):
+    argv = ["sweep", "--n", n, "--alphas", "7/10,2/5", "--seed", "1", "--format", "csv"]
+    assert main(argv) == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: vertex count {n} outside 1..1024\n"
 
 
 def test_analyze_unknown_extension(tmp_path, capsys):

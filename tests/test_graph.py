@@ -3,7 +3,7 @@ import random
 import pytest
 
 import booktri as bt
-from conftest import complete, random_graph
+from conftest import adjacency_sets, complete, random_graph
 
 
 def test_new_graph_empty():
@@ -95,12 +95,13 @@ def test_copy_is_independent():
 
 
 def test_random_toggles_keep_invariants():
-    """Symmetry, loop-freeness, and the cached edge count survive any
-    mutation sequence."""
+    """Symmetry, loop-freeness, and the edge count survive any mutation
+    sequence: the rows hold exactly the pairs a set of toggles holds."""
     rng = random.Random(101)
     for _ in range(200):
         n = rng.randint(2, 40)
         g = bt.new_graph(n)
+        pairs = set()
         for _ in range(rng.randint(0, 120)):
             u = rng.randrange(n)
             v = rng.randrange(n)
@@ -108,9 +109,12 @@ def test_random_toggles_keep_invariants():
                 continue
             if rng.random() < 0.5:
                 g.add_edge(u, v)
+                pairs.add((min(u, v), max(u, v)))
             else:
                 g.remove_edge(u, v)
-        assert g.m == g.edge_count_recount()
+                pairs.discard((min(u, v), max(u, v)))
+        assert g.m == len(pairs)
+        assert list(g.edges()) == sorted(pairs)
         for v in range(n):
             assert not (g.adj[v] >> v) & 1, "self-loop crept in"
             for w in g.neighbors(v):
@@ -121,4 +125,11 @@ def test_random_graphs_match_recount():
     rng = random.Random(5)
     for _ in range(50):
         g = random_graph(rng, rng.randint(1, 64), rng.random())
-        assert g.m == g.edge_count_recount()
+        assert g.m == len(list(g.edges())) == sum(map(len, adjacency_sets(g))) // 2
+
+
+def test_edge_count_is_read_only():
+    g = bt.complete_bipartite(2, 3)
+    with pytest.raises(AttributeError):
+        g.m = 7
+    assert g.m == 6

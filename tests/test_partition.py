@@ -63,7 +63,7 @@ def test_rewire_c5():
     assert out.m == 6
     y_mask = bt.stability_partition(cycle(5)).partition.y_mask
     assert _is_bipartite_on(out, y_mask)
-    assert out.m == out.edge_count_recount()
+    assert len(list(out.edges())) == 6
 
 
 def test_rewire_already_bipartite():
@@ -128,7 +128,7 @@ def test_rewire_matches_reference():
     for g in cases:
         before = list(g.adj)
         out, ref = bt.bipartize_rewire(g), rewire_reference(g)
-        assert out.adj == ref.adj and out.m == ref.m == ref.edge_count_recount()
+        assert out.adj == ref.adj and out.m == len(list(ref.edges()))
         assert g.adj == before, "the input graph must not change"
         tight += _tight(g, bt.stability_partition(g))
     assert _tight(cases[3], bt.stability_partition(cases[3]))
@@ -172,7 +172,7 @@ def test_stability_bound_random_family():
         assert out.m == g.m + report.internal_x
         assert out.m <= g.n * g.n // 4
         assert _is_bipartite_on(out, report.partition.y_mask)
-        assert out.m == out.edge_count_recount()
+        assert len(list(out.edges())) == len(list(g.edges())) + report.internal_x
 
 
 def test_partition_from_mask_counts():
@@ -214,8 +214,7 @@ def test_local_max_cut_contract():
     for _ in range(300):
         n = rng.randint(2, 48)
         g = random_graph(rng, n, rng.random())
-        part, passes = bt.local_max_cut(g, count_scans=True)
-        assert passes <= max(g.m, 1)
+        part = bt.local_max_cut(g)  # asserts its own bound of m improving passes
         adj = adjacency_sets(g)
         for v in range(n):
             same = sum(1 for w in adj[v] if part.side(w) == part.side(v))
