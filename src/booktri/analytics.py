@@ -3,8 +3,9 @@
 The book of an edge is the set of triangles through it; its size equals the
 number of common neighbors of the endpoints.  Everything here is a pure
 function of an immutable graph.  Every whole-graph statistic reads one
-kernel, ``_edge_codegrees``: each edge's book is the popcount of the AND of
-its endpoints' rows packed as uint64 words, summed in exact integers.
+kernel, ``_edge_codegrees``: edge uv's book is (A^2)_uv, read off the Gram
+product of the adjacency matrix in float32 one block of rows at a time.  That
+is exact: terms are 0 or 1, so every partial sum is an integer <= n < 2^24.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 from .errors import EmptyGraphError, LoopError, MissingEdgeError
 from .graph import Graph, _row_bits, _row_words
 
-_CHUNK = 1 << 14  # edges per popcount batch
+_BLOCK = 128  # rows per Gram product block (a 128 x 1024 float32 block is 0.5 MB)
 
 
 @dataclass(frozen=True)
@@ -65,21 +66,21 @@ def book_size(g: Graph, u: int, v: int) -> int:
 
 
 def _codegree_chunks(g: Graph):
-    """Every edge u < v in lexicographic order, and its book sizes _CHUNK
-    edges at a time, computed lazily so memory stays bounded and a caller
-    may stop early: each is the popcount of its endpoints' ANDed words."""
-    words = _row_words(g)
+    """Every edge u < v in lexicographic order with its book size, one (u, v, c)
+    per block of _BLOCK rows, computed lazily so a caller may stop early."""
+    bits = _row_bits(_row_words(g))
+    a = bits.astype(np.float32)
     order = np.arange(g.n)
-    u, v = np.nonzero(_row_bits(words) & (order[:, None] < order))  # strict upper
-    starts = range(0, len(u), _CHUNK)
-    both = (words[u[s:s + _CHUNK]] & words[v[s:s + _CHUNK]] for s in starts)
-    return u, v, (np.bitwise_count(w).sum(axis=1, dtype=np.int64) for w in both)
+    for r in range(0, g.n, _BLOCK):
+        rows = slice(r, r + _BLOCK)
+        idx = np.flatnonzero(bits[rows, r:] & (order[rows, None] < order[r:]))
+        u, v = np.divmod(idx, g.n - r)
+        yield u + r, v + r, (a[rows] @ a[:, r:]).ravel()[idx].astype(np.int64)
 
 
 def _edge_codegrees(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every edge u < v in lexicographic order, with its book size."""
-    u, v, chunks = _codegree_chunks(g)
-    return u, v, np.concatenate([*chunks, np.empty(0, dtype=np.int64)])
+    return tuple(map(np.concatenate, zip(*_codegree_chunks(g))))
 
 
 def _t_and_b(c: np.ndarray) -> tuple[int, int]:
@@ -120,11 +121,10 @@ def max_book(g: Graph) -> int:
 
 def find_triangle(g: Graph) -> tuple[int, int, int] | None:
     """Some triangle (u, v, w) with u < v < w, or None if triangle-free."""
-    u, v, chunks = _codegree_chunks(g)
-    for s, c in zip(range(0, len(u), _CHUNK), chunks):
+    for u, v, c in _codegree_chunks(g):
         hit = np.flatnonzero(c)
         if hit.size:  # the first edge with a common neighbour, as edges are ordered
-            x, y = int(u[s + hit[0]]), int(v[s + hit[0]])
+            x, y = int(u[hit[0]]), int(v[hit[0]])
             common = g.adj[x] & g.adj[y]
             w = (common & -common).bit_length() - 1
             return tuple(sorted((x, y, w)))

@@ -10,6 +10,7 @@ goes to stderr, never into result files.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -70,6 +71,24 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _check_out(path: str | None) -> None:
+    """Raise now the OSError that writing path would raise once the work is
+    done (a directory, a missing parent, no write permission), without
+    creating or truncating anything."""
+    if not path:
+        return
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise OSError(code, os.strerror(code), path)
 
 
 def _kv_csv(d: dict) -> str:
@@ -252,6 +271,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        _check_out(args.out)
+        _check_out(getattr(args, "graph_out", None))
+        _check_out(args.rewire_out if getattr(args, "rewire", False) else None)
         return args.fn(args)
     except BooktriError as exc:
         print(f"{_LABELS[exc.exit_code]}: {exc}", file=sys.stderr)

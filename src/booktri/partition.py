@@ -6,7 +6,8 @@ neighborhood of a maximum-degree vertex leaves at most k edges inside the
 parts, and rewiring those edges across the cut yields a simple bipartite
 graph with exactly internal_x more edges than the input.  The split is
 measured once, and the rewire is computed from its masks in one pass per X
-vertex.  Edge counts are read off the rows (Graph.m), once per call.
+vertex.  The split reads the edge count (Graph.m) once; the local max-cut
+takes it, and its cut counts, from the degree sums of its own passes.
 """
 
 from __future__ import annotations
@@ -142,23 +143,27 @@ def local_max_cut(g: Graph, seed: Partition | None = None) -> Partition:
     makes no move.  At the fixed point every vertex has at least as many
     neighbors across the cut as on its own side.  Each flip raises
     cross_edges by at least 1, so there are at most m improving passes,
-    which an assertion checks.  Defaults to the all-X start.
+    which an assertion checks.  Each pass also sums the degrees (2m) and the
+    cross neighbors; the last pass moves nothing, so its sums are the final
+    counts.  Defaults to the all-X start.
     """
     y_mask = seed.y_mask if seed is not None else 0
     full = (1 << g.n) - 1
-    max_passes = max(g.m, 1)
     improving_passes = 0
     while True:
         moved = False
+        degrees = across = 0
         for v in range(g.n):
             row = g.adj[v]
             opp = row & y_mask if not (y_mask >> v) & 1 else row & (full ^ y_mask)
-            cross = opp.bit_count()
-            if row.bit_count() - cross > cross:
+            cross, degree = opp.bit_count(), row.bit_count()
+            degrees += degree
+            across += cross
+            if degree - cross > cross:
                 y_mask ^= 1 << v
                 moved = True
         if not moved:
             break
         improving_passes += 1
-        assert improving_passes <= max_passes, "cut failed to stabilize within m passes"
-    return Partition.from_mask(g, y_mask)
+        assert improving_passes <= max(degrees // 2, 1), "cut failed to stabilize within m passes"
+    return Partition(g.n, y_mask, across // 2, (degrees - across) // 2)

@@ -205,17 +205,63 @@ def test_find_triangle_matches_full_kernel(g):
 
 
 def test_find_triangle_across_chunks():
-    """K128,128 fills the kernel's first chunk of 2**14 edges exactly; what
-    comes after it decides whether, and where, a triangle is found."""
-    base = [(i, j) for i in range(128) for j in range(128, 256)]
-    assert len(base) == bt.analytics._CHUNK
+    """K_{R,R} on 0..2R-1, with R the kernel's row block, fills the first
+    block with exactly its R*R triangle-free edges and leaves the second block
+    without any; what comes after it decides whether, and where, a triangle
+    is found."""
+    block = bt.analytics._BLOCK
+    base = [(i, j) for i in range(block) for j in range(block, 2 * block)]
+    a, b, c = range(2 * block, 2 * block + 3)  # rows of the third block
     for extra, expected in (
-        ([(256, 257), (257, 258)], None),
-        ([(256, 257), (256, 258), (257, 258)], (256, 257, 258)),
-        ([(0, 1), (256, 257)], (0, 1, 128)),
+        ([(a, b), (b, c)], None),
+        ([(a, b), (a, c), (b, c)], (a, b, c)),
+        ([(0, 1), (a, b)], (0, 1, block)),
     ):
-        g = bt.from_edge_list(259, base + extra)
+        g = bt.from_edge_list(2 * block + 3, base + extra)
+        u, v, books = next(bt.analytics._codegree_chunks(g))
+        first = [(x, y) for x, y in extra if x < block]
+        assert sorted(zip(u.tolist(), v.tolist())) == sorted(base + first)
+        assert books.any() == bool(first)
         assert bt.find_triangle(g) == _first_triangle_full_kernel(g) == expected
+
+
+def _without_pairs(n, pairs):
+    """K_n minus the given disjoint pairs, built straight from its rows."""
+    g = bt.new_graph(n)
+    g.adj = [((1 << n) - 1) ^ (1 << v) for v in range(n)]
+    for u, v in pairs:
+        g.remove_edge(u, v)
+    return g
+
+
+def test_kernel_exact_at_vertex_cap():
+    """The largest Gram entries the float32 kernel can meet, at n = 1024:
+    every term is 0 or 1 and every partial sum at most n < 2**24."""
+    assert bt.graph.MAX_VERTICES < 2**24  # a larger cap could round a partial sum
+    n = 1024
+    m = n * (n - 1) // 2
+    k = _without_pairs(n, [])
+    assert bt.analyze_report(k) == {
+        "n": n, "m": m, "t": 178_433_024, "b": n - 2, "max_edge": [0, 1],
+        "histogram": {str(n - 2): m},
+    }
+    assert bt.triangle_count(k).count == 178_433_024  # C(1024, 3)
+    assert bt.book_histogram(k) == {1022: 523_776}
+    assert bt.find_triangle(k) == (0, 1, 2)
+    # minus a perfect matching: each edge loses its ends and their two mates,
+    # and a triangle takes one vertex from each of 3 of the 512 pairs: 8 C(512, 3)
+    k = _without_pairs(n, [(v, v + 1) for v in range(0, n, 2)])
+    assert bt.analyze_report(k) == {
+        "n": n, "m": m - n // 2, "t": 177_909_760, "b": n - 4, "max_edge": [0, 2],
+        "histogram": {str(n - 4): m - n // 2},
+    }
+    assert bt.find_triangle(k) == (0, 2, 4)
+    empty = bt.new_graph(n)
+    assert bt.analyze_report(empty) == {
+        "n": n, "m": 0, "t": 0, "b": None, "max_edge": None, "histogram": {},
+    }
+    assert bt.max_book(empty) == 0 and bt.book_histogram(empty) == {}
+    assert bt.find_triangle(empty) is None
 
 
 @settings(deadline=None)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -75,6 +76,69 @@ def test_analyze_unreadable_path_exits_1(tmp_path, capsys, name):
     assert main(["analyze", str(tmp_path / name)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# each command with the output flag under test and the library call that does
+# its work; "@in.g6" is a triangle-free input
+_OUT_COMMANDS = [
+    (["analyze", "@in.g6", "--out"], "analyze_report"),
+    (["construct", "rademacher", "--n", "10", "--out"], "rademacher_extremal"),
+    (["construct", "theorem1", "--n", "40", "--alpha", "7/10", "--graph-out"], "theorem1_sharp"),
+    (["frontier", "--n", "12", "--e", "37", "--mode", "anneal", "--book-cap", "12",
+      "--seed", "1", "--budget", "300000", "--out"], "anneal_min_triangles"),
+    (["frontier", "--n", "6", "--e", "10", "--mode", "exhaustive", "--out"], "extremal_scan"),
+    (["sweep", "--n", "40", "--alphas", "7/10", "--seed", "1", "--out"], "alpha_sweep"),
+    (["stability", "@in.g6", "--out"], "stability_partition"),
+    (["stability", "@in.g6", "--rewire", "--rewire-out"], "stability_partition"),
+]
+
+
+@pytest.mark.parametrize("target", [
+    "missing/out.json",
+    "dir",
+    "file.el/out.json",
+    pytest.param("locked/out.json", marks=pytest.mark.skipif(
+        hasattr(os, "geteuid") and os.geteuid() == 0, reason="root may write anywhere")),
+])
+@pytest.mark.parametrize("argv,worker", [
+    pytest.param(argv, worker, id=worker + argv[-1]) for argv, worker in _OUT_COMMANDS
+])
+def test_bad_output_path_exits_before_work(tmp_path, capsys, monkeypatch, argv, worker, target):
+    """An output path that cannot be written ends the command with open()'s
+    own one-line error before the work starts, and creates nothing."""
+    def worker_ran(*args, **kwargs):
+        raise AssertionError(f"{worker} ran before its output path was checked")
+
+    monkeypatch.setattr(cli, worker, worker_ran)
+    (tmp_path / "in.g6").write_text(bt.to_graph6(cycle(5)))
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "file.el").write_text("0 1\n")
+    (tmp_path / "locked").mkdir(mode=0o500)
+    before = sorted(tmp_path.rglob("*"))
+    path = str(tmp_path / target)
+    with pytest.raises(OSError) as late:
+        open(path, "w")
+    argv = [str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv]
+    assert main(argv + [path]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {late.value}\n"
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_failed_command_leaves_output_paths_alone(tmp_path, capsys):
+    """A command that fails after its output paths pass the check neither
+    creates a new output file nor truncates an existing one."""
+    new, old = tmp_path / "new.json", tmp_path / "old.json"
+    old.write_text("kept\n")
+    for out in (new, old):
+        argv = ["frontier", "--n", "6", "--e", "10", "--mode", "anneal", "--book-cap", "0",
+                "--seed", "1", "--out", str(out)]
+        assert main(argv) == cli.EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
+    triangle = tmp_path / "k3.g6"
+    triangle.write_text(bt.to_graph6(complete(3)))
+    argv = ["stability", str(triangle), "--rewire", "--rewire-out", str(new), "--out", str(old)]
+    assert main(argv) == cli.EXIT_HYPOTHESIS
+    assert not new.exists() and old.read_text() == "kept\n"
 
 
 @pytest.mark.parametrize(

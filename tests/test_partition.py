@@ -2,6 +2,8 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import booktri as bt
 from booktri.cli import main
@@ -10,6 +12,7 @@ from conftest import (
     bipartite_minus_matching,
     complete,
     cycle,
+    graphs,
     path,
     random_graph,
     random_triangle_free,
@@ -220,6 +223,16 @@ def test_local_max_cut_contract():
             same = sum(1 for w in adj[v] if part.side(w) == part.side(v))
             cross = len(adj[v]) - same
             assert cross >= same
+
+
+@settings(deadline=None)
+@given(graphs(max_n=24), st.integers(min_value=0))
+def test_local_max_cut_counts_match_from_mask(g, seed_bits):
+    """The counts summed over the cut's last pass equal a recount of its
+    final sides, from the all-X start and from a drawn seed."""
+    for seed in (None, bt.Partition.from_mask(g, seed_bits % (1 << g.n))):
+        part = bt.local_max_cut(g, seed)
+        assert part == bt.Partition.from_mask(g, part.y_mask)
 
 
 def test_local_max_cut_deterministic():
