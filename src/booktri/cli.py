@@ -12,14 +12,15 @@ from __future__ import annotations
 import argparse
 import errno
 import json
+import math
 import os
 import sys
 
 from .analytics import analyze_report
-from .codec import from_edge_list_text, from_graph6, to_graph6
+from .codec import _HEADER, from_edge_list_text, from_graph6, to_graph6
 from .constructions import edwards_generalized, rademacher_extremal, theorem1_sharp
 from .errors import BooktriError
-from .graph import Graph
+from .graph import MAX_VERTICES, Graph
 from .partition import _rewire, stability_partition
 from .search import (
     AnnealParams,
@@ -55,10 +56,22 @@ class _UsageError(Exception):
     pass
 
 
+# the longest .g6 file of a graph booktri can hold: the ">>graph6<<" header,
+# the graph6 string for n = MAX_VERTICES (4 count bytes, one byte per 6 of the
+# C(n, 2) edge bits) and a CRLF
+_G6_LIMIT = len(_HEADER) + 4 + math.ceil(math.comb(MAX_VERTICES, 2) / 6) + 2
+
+
 def _load_graph(path: str) -> Graph:
     if path.endswith(".g6"):
         with open(path, "rb") as fh:
-            return from_graph6(fh.read())
+            data = fh.read(_G6_LIMIT + 1)
+        if len(data) > _G6_LIMIT:
+            raise BooktriError(
+                f"{path}: longer than {_G6_LIMIT} bytes, the most a graph6 file "
+                f"of at most {MAX_VERTICES} vertices needs"
+            )
+        return from_graph6(data)
     if path.endswith(".el"):
         with open(path, "rb") as fh:
             return from_edge_list_text(fh.read())

@@ -4,8 +4,9 @@ Exhaustive scans cover every labeled graph on n <= 8 vertices with exactly e
 edges and reduce the (max book, triangles) pairs to a Pareto frontier with
 one witness per frontier point: the first graph achieving it in lexicographic
 order of the edge subset.  The scan is one numpy kernel over blocks of edge
-masks, run on threads of one process; the record does not depend on the
-thread count.
+masks, which reads each edge's presence off the half-mask holding its bit.
+One worker runs on the calling thread and more share a thread pool; the
+record does not depend on the thread count.
 
 Annealing walks the same fixed-edge-count space with single edge swaps,
 rejecting any state whose largest book reaches the cap, and reports the best
@@ -27,6 +28,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
@@ -171,11 +173,14 @@ def extremal_scan(n: int, e: int, threads: int = 1) -> FrontierRecord:
     Each e-edge mask is a high half OR a low half.  A block pairs a slice of
     the high halves of popcount h with every low half of popcount e-h, both
     in descending order, so the block itself is in rank order.  Codegrees
-    come from popcounts of ANDed vertex rows; each block keeps its first
-    graph per pair of its local Pareto set as its (high, low) halves, and
-    merging keeps the largest pair, i.e. the largest mask and lowest rank.
-    A witness's rows are its halves' table rows ORed.  The record is
-    identical for any thread count.
+    come from popcounts of ANDed vertex rows; an edge slot is one bit of the
+    high or the low half-mask, so its presence is a column taken from the
+    block's high halves or a row taken from its low halves.  Each block
+    keeps its first graph per pair of its local Pareto set as its (high,
+    low) halves, and merging keeps the largest pair, i.e. the largest mask
+    and lowest rank.  A witness's rows are its halves' table rows ORed.  One
+    worker scans the blocks on the calling thread, more share a thread
+    pool; the record is identical for any thread count.
     """
     slots = _guard(n, e)
     low = slots // 2
@@ -192,11 +197,19 @@ def extremal_scan(n: int, e: int, threads: int = 1) -> FrontierRecord:
     def scan_block(job) -> dict[tuple[int, int], tuple[int, int]]:
         his, los = job
         rows = hi_rows[:, his][:, :, None] | lo_rows[:, los][:, None, :]
+        # has[j] is 1 where mask bit j is set: a (1, L) row of the low halves
+        # for j < low, else an (H, 1) column of the high halves
+        lo_has = ((los >> np.arange(low, dtype=np.uint32)[:, None]) & 1).astype(np.uint8)
+        hi_has = ((his >> np.arange(slots - low, dtype=np.uint32)[:, None]) & 1).astype(np.uint8)
+        has = [*lo_has[:, None, :], *hi_has[:, :, None]]
         tri3 = np.zeros(rows.shape[1:], dtype=np.uint8)  # n <= 8: 3t <= 168
         book = np.zeros_like(tri3)
-        for u, v in edges:
-            c = np.bitwise_count(rows[u] & rows[v]) * ((rows[u] >> v) & 1)
-            tri3 += c
+        c = np.empty_like(tri3)
+        for (u, v), held in zip(edges, reversed(has)):  # slot i is bit slots-1-i
+            np.bitwise_and(rows[u], rows[v], out=c)
+            np.bitwise_count(c, out=c)
+            np.multiply(c, held, out=c)
+            np.add(tri3, c, out=tri3)
             np.maximum(book, c, out=book)
         key = (book.astype(np.uint16) << 8 | tri3).ravel()
         present = np.flatnonzero(np.bincount(key)).tolist()
@@ -208,8 +221,10 @@ def extremal_scan(n: int, e: int, threads: int = 1) -> FrontierRecord:
         return out
 
     best: dict[tuple[int, int], tuple[int, int]] = {}
-    with ThreadPoolExecutor(clamp_workers(threads, os.cpu_count(), len(jobs))) as pool:
-        for part in pool.map(scan_block, jobs):
+    workers = clamp_workers(threads, os.cpu_count(), len(jobs))
+    # one worker maps on the calling thread, with no pool thread to hand off to
+    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        for part in (pool.map if pool else map)(scan_block, jobs):
             for pair, halves in part.items():
                 best[pair] = max(halves, best.get(pair, halves))
 

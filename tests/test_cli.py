@@ -164,6 +164,24 @@ def test_error_exit_code_mapping(monkeypatch, capsys, exc, code, prefix):
     assert capsys.readouterr().err == f"{prefix}: {exc}\n"
 
 
+def test_g6_read_is_bounded(tmp_path, capsys):
+    """The longest .g6 a 1024-vertex graph needs (header, string, CRLF) is
+    read; one byte more is refused before it is parsed."""
+    longest = b">>graph6<<" + bt.to_graph6(cycle(1024)).encode("ascii") + b"\r\n"
+    assert len(longest) == cli._G6_LIMIT == 87_312
+    fits, over = tmp_path / "fits.g6", tmp_path / "over.g6"
+    fits.write_bytes(longest)
+    over.write_bytes(longest + b"\n")
+    assert main(["analyze", str(fits)]) == cli.EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert (report["n"], report["m"]) == (1024, 1024)
+    for command in (["analyze"], ["stability"]):
+        assert main(command + [str(over)]) == cli.EXIT_PARSE
+        out, err = capsys.readouterr()
+        assert not out and err.count("\n") == 1
+        assert err.startswith("parse error: ") and "87312 bytes" in err
+
+
 _EXIT_CODES = (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_PARSE, cli.EXIT_HYPOTHESIS, cli.EXIT_GUARD)
 
 
@@ -532,6 +550,8 @@ for _fmt in ("json", "csv"):
             f"construct theorem1 --n 40 --alpha 7/10 --format {_fmt}",
         f"construct_edwards_48_2_5.{_fmt}": f"construct edwards --n 48 --alpha 2/5 --format {_fmt}",
         f"frontier_exhaustive_6_10.{_fmt}": f"frontier --n 6 --e 10 --mode exhaustive --format {_fmt}",
+        # nine popcount classes of the high half-mask, each its own block
+        f"frontier_exhaustive_7_13.{_fmt}": f"frontier --n 7 --e 13 --mode exhaustive --format {_fmt}",
     })
 # the committed triangle-free corpus; with no --rewire-out the rewired
 # graph6 line follows the report on stdout

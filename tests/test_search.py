@@ -73,9 +73,13 @@ def _oracle_scan(n, e):
     }
 
 
+# every e at n=5 puts edges in the high and the low half-mask at every
+# popcount split
 @pytest.mark.parametrize(
     "n,e",
-    [(5, 7), (6, 10)] + [(n, e) for n in range(1, 5) for e in (0, math.comb(n, 2))],
+    [(5, e) for e in range(11)]
+    + [(6, 10)]
+    + [(n, e) for n in range(1, 5) for e in (0, math.comb(n, 2))],
 )
 def test_extremal_scan_matches_oracle(n, e):
     record = bt.extremal_scan(n, e)
@@ -97,6 +101,19 @@ def test_extremal_scan_thread_invariant():
     a = bt.extremal_scan(6, 10, threads=1)
     b = bt.extremal_scan(6, 10, threads=2)
     assert json.dumps(a.to_json_dict()) == json.dumps(b.to_json_dict())
+
+
+@pytest.mark.parametrize("block", [1, 3, 64])
+@pytest.mark.parametrize("threads", [1, 2])
+def test_extremal_scan_block_invariant(monkeypatch, block, threads):
+    # small blocks split every popcount class into many jobs, so each block's
+    # edge presence must come from its own slice of the half-masks
+    default = {ne: bt.extremal_scan(*ne) for ne in [(6, 10), (7, 13)]}
+    monkeypatch.setattr(bt.search, "_BLOCK", block)
+    for ne, want in default.items():
+        got = bt.extremal_scan(*ne, threads=threads)
+        assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict())
+        assert got.to_csv() == want.to_csv()
 
 
 def test_witnesses_reverify():
