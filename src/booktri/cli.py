@@ -60,21 +60,29 @@ class _UsageError(Exception):
 # the graph6 string for n = MAX_VERTICES (4 count bytes, one byte per 6 of the
 # C(n, 2) edge bits) and a CRLF
 _G6_LIMIT = len(_HEADER) + 4 + math.ceil(math.comb(MAX_VERTICES, 2) / 6) + 2
+# the longest duplicate-free .el file: the "# n" line, then all C(n, 2) pairs
+# at n = MAX_VERTICES, each on a CRLF line as long as "1023 1022"
+_EL_LINE = len(f"{MAX_VERTICES - 1} {MAX_VERTICES - 2}\r\n")
+_EL_LIMIT = len(f"# n {MAX_VERTICES}\r\n") + math.comb(MAX_VERTICES, 2) * _EL_LINE
+
+
+def _read_bounded(path: str, limit: int, what: str) -> bytes:
+    """The bytes of path, refused before any parse if there are over limit."""
+    with open(path, "rb") as fh:
+        data = fh.read(limit + 1)
+    if len(data) > limit:
+        raise BooktriError(
+            f"{path}: longer than {limit} bytes, the most {what} "
+            f"of at most {MAX_VERTICES} vertices needs"
+        )
+    return data
 
 
 def _load_graph(path: str) -> Graph:
     if path.endswith(".g6"):
-        with open(path, "rb") as fh:
-            data = fh.read(_G6_LIMIT + 1)
-        if len(data) > _G6_LIMIT:
-            raise BooktriError(
-                f"{path}: longer than {_G6_LIMIT} bytes, the most a graph6 file "
-                f"of at most {MAX_VERTICES} vertices needs"
-            )
-        return from_graph6(data)
+        return from_graph6(_read_bounded(path, _G6_LIMIT, "a graph6 file"))
     if path.endswith(".el"):
-        with open(path, "rb") as fh:
-            return from_edge_list_text(fh.read())
+        return from_edge_list_text(_read_bounded(path, _EL_LIMIT, "a duplicate-free edge list"))
     raise _UsageError(f"cannot detect format of {path!r}: expected .g6 or .el")
 
 

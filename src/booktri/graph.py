@@ -158,6 +158,10 @@ def complete_bipartite(a: int, b: int) -> Graph:
 def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Graph on n vertices with exactly the listed edges (duplicates collapse)."""
     g = Graph(n)
-    for u, v in edges:
-        g.add_edge(u, v)
+    adj = g.adj
+    for u, v in edges:  # add_edge, its checks run only where the plain-int test fails
+        if not (type(u) is int and type(v) is int and 0 <= u < n and 0 <= v < n and u != v):
+            g._check_pair(u, v)
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
     return g

@@ -5,9 +5,11 @@ For a triangle-free graph with floor(n^2/4) - k edges, splitting off the
 neighborhood of a maximum-degree vertex leaves at most k edges inside the
 parts, and rewiring those edges across the cut yields a simple bipartite
 graph with exactly internal_x more edges than the input.  The split is
-measured once, and the rewire is computed from its masks in one pass per X
-vertex.  The split reads the edge count (Graph.m) once; the local max-cut
-takes it, and its cut counts, from the degree sums of its own passes.
+measured once, and the rewire is computed from its masks: a bisection per X
+vertex finds its new row, and one ascending sweep over Y sets the new cross
+edges in the Y rows, O(n log n) big-int operations in all.  The split
+reads the edge count (Graph.m) once; the local max-cut takes it, and its
+cut counts, from the degree sums of its own passes.
 """
 
 from __future__ import annotations
@@ -107,18 +109,30 @@ def _rewire(g: Graph, report: StabilityReport) -> Graph:
     y_mask = report.partition.y_mask
     x_mask = ((1 << g.n) - 1) ^ y_mask
     out = g.copy()
+    leave = [0] * (g.n + 1)  # leave[L]: the X vertices whose targets all lie below L
+    alive = 0
     for w in _bits(x_mask):
         s = (g.adj[w] & x_mask).bit_count()
         if not s:
             continue
         free = y_mask & ~g.adj[w]
         assert free.bit_count() >= s, "max-degree bound violated: not enough room in Y"
-        rest = free
-        for _ in range(s):  # the s lowest bits of free are w's new neighbours
-            low = rest & -rest
-            rest ^= low
-            out.adj[low.bit_length() - 1] |= 1 << w
-        out.adj[w] = (g.adj[w] & y_mask) | (free ^ rest)
+        lo, hi = s, free.bit_length()
+        while lo < hi:  # the least L with s bits of free below L
+            mid = (lo + hi) // 2
+            if (free & ((1 << mid) - 1)).bit_count() < s:
+                lo = mid + 1
+            else:
+                hi = mid
+        out.adj[w] = (g.adj[w] & y_mask) | (free & ((1 << lo) - 1))
+        leave[lo] |= 1 << w
+        alive |= 1 << w
+    for y in range(g.n):  # alive at y: the X vertices with a target at or above y
+        alive ^= leave[y]
+        if not alive:
+            break
+        if (y_mask >> y) & 1:
+            out.adj[y] |= alive
     return out
 
 
@@ -129,8 +143,11 @@ def bipartize_rewire(g: Graph) -> Graph:
     lowest-indexed non-neighbors in Y, s counted in the original graph, so
     each deleted edge adds one new cross edge at either endpoint and
     e(G') = e(G) + internal_x.  The result is simple and bipartite with
-    sides X, Y.  d(w) <= d(v) = |Y| guarantees enough room in Y.  The new
-    rows are computed from the split's masks.
+    sides X, Y.  d(w) <= d(v) = |Y| guarantees enough room in Y.  A
+    bisection on popcounts finds L_w, the least L with s free bits below it,
+    and one ascending sweep ORs every w with L_w above y into Y row y; a y
+    below L_w that is not free to w is already in N(w), so the OR adds
+    nothing there, and the targets (lowest index first) are unchanged.
     """
     return _rewire(g, stability_partition(g))
 

@@ -182,6 +182,27 @@ def test_g6_read_is_bounded(tmp_path, capsys):
         assert err.startswith("parse error: ") and "87312 bytes" in err
 
 
+def test_el_read_is_bounded(tmp_path, capsys):
+    """An edge list of every pair at n = 1024, padded with a comment to the
+    limit, is read; one byte more is refused before it is parsed."""
+    lines = [f"{u} {v}\r\n" for u in range(1024) for v in range(u + 1, 1024)]
+    body = "# n 1024\r\n" + "".join(lines)
+    assert cli._EL_LIMIT == len("# n 1024\r\n") + len(lines) * len("1023 1022\r\n") == 5_761_546
+    longest = (body + "#" * (cli._EL_LIMIT - len(body) - 2) + "\r\n").encode("ascii")
+    assert len(longest) == cli._EL_LIMIT
+    fits, over = tmp_path / "fits.el", tmp_path / "over.el"
+    fits.write_bytes(longest)
+    over.write_bytes(longest + b"\n")
+    assert main(["analyze", str(fits)]) == cli.EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert (report["n"], report["m"]) == (1024, len(lines))
+    for command in (["analyze"], ["stability"]):
+        assert main(command + [str(over)]) == cli.EXIT_PARSE
+        out, err = capsys.readouterr()
+        assert not out and err.count("\n") == 1
+        assert err.startswith("parse error: ") and "5761546 bytes" in err
+
+
 _EXIT_CODES = (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_PARSE, cli.EXIT_HYPOTHESIS, cli.EXIT_GUARD)
 
 

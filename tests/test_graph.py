@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 import booktri as bt
@@ -133,3 +134,31 @@ def test_edge_count_is_read_only():
     with pytest.raises(AttributeError):
         g.m = 7
     assert g.m == 6
+
+
+def test_from_edge_list_errors():
+    with pytest.raises(bt.BoundsError, match="vertex 3 outside 0..2"):
+        bt.from_edge_list(3, [(0, 1), (0, 3)])
+    with pytest.raises(bt.BoundsError, match="vertex -1 outside"):
+        bt.from_edge_list(3, [(-1, 1)])
+    with pytest.raises(bt.LoopError, match="self-loop at vertex 2"):
+        bt.from_edge_list(3, [(0, 1), (2, 2)])
+    with pytest.raises(bt.BoundsError, match="vertex 1.0 outside"):
+        bt.from_edge_list(3, [(0, 1.0)])
+    with pytest.raises(bt.BoundsError, match="outside 0..2"):
+        bt.from_edge_list(3, [(np.int64(0), 1)])
+    # the first bad pair in iteration order is the one reported
+    with pytest.raises(bt.LoopError, match="vertex 1$"):
+        bt.from_edge_list(3, iter([(0, 2), (1, 1), (0, 5)]))
+    with pytest.raises(bt.BoundsError, match="vertex 5 outside"):
+        bt.from_edge_list(3, iter([(0, 2), (0, 5), (1, 1)]))
+
+
+def test_from_edge_list_accepts_what_add_edge_accepts():
+    # bools are ints to add_edge, so they stay valid vertices here
+    assert bt.from_edge_list(3, [(True, 2), (False, True)]) == bt.from_edge_list(3, [(1, 2), (0, 1)])
+    g = bt.new_graph(5)
+    pairs = [(4, 0), (1, 3), (3, 1), (2, 4)]
+    for u, v in pairs:
+        g.add_edge(u, v)
+    assert bt.from_edge_list(5, pairs) == g

@@ -138,6 +138,28 @@ def test_rewire_matches_reference():
     assert tight > 10
 
 
+def test_rewire_matches_reference_past_one_word():
+    """Rows wider than a machine word: C5 blow-ups at n = 65, 130 and 1020,
+    and K512,512 minus a perfect matching, where the matched partner of
+    vertex 0 lands in X and needs every free slot of Y up to vertex 1023."""
+    rng = random.Random(1024)
+    cases = [_c5_blowup(rng, [n // 5 + (i < n % 5) for i in range(5)]) for n in (65, 130, 1020)]
+    g = bt.complete_bipartite(512, 512)
+    for u in range(512):
+        g.remove_edge(u, 512 + (u + 1) % 512)
+    cases.append(g)
+    cases.append(bipartite_minus_matching(rng, 300, 724))
+    outs = []
+    for g in cases:
+        before = list(g.adj)
+        out, ref = bt.bipartize_rewire(g), rewire_reference(g)
+        assert g.n > 64 and out.adj == ref.adj
+        assert g.adj == before, "the input graph must not change"
+        outs.append(out)
+    assert _tight(cases[3], bt.stability_partition(cases[3]))
+    assert outs[3].has_edge(513, 1023) and not cases[3].has_edge(513, 1023)
+
+
 def test_split_and_rewire_check_triangles_once(monkeypatch, tmp_path, capsys):
     calls = []
 
