@@ -26,7 +26,6 @@ from .search import (
     AnnealParams,
     alpha_sweep,
     anneal_min_triangles,
-    clamp_workers,
     extremal_scan,
     sweep_to_csv,
 )
@@ -142,7 +141,7 @@ def _threads(args) -> int:
             requested = int(env)
         except ValueError:
             raise _UsageError(f"bad BOOKTRI_THREADS value {env!r}")
-    return clamp_workers(requested, os.cpu_count())
+    return requested
 
 
 def _cmd_analyze(args) -> int:

@@ -1,30 +1,37 @@
 """Deterministic generators for the extremal graph families.
 
-All three families live at (or one edge below) the edge threshold
-floor(n^2/4) + 1 where triangles become unavoidable:
+Each family is a weighted blow-up of a small pattern graph at (or one edge
+below) the edge threshold floor(n^2/4) + 1 where triangles become
+unavoidable: pattern vertex i becomes an independent part of w_i
+consecutive vertices, and pattern edge ij a complete bipartite graph.
 
-* ``rademacher_extremal`` -- complete balanced bipartite plus one edge in the
-  larger part; exactly floor(n/2) triangles, all through the added edge.
-* ``theorem1_sharp`` -- balanced complete bipartite with one vertex re-wired
-  to a attachment vertices on its own side and b on the other; t = a*b and
-  the largest book is max(a, b), tunable below a cap alpha*n/2.
-* ``edwards_generalized`` -- two sides, each split into three parts with
-  complete tripartite inside and matching parts joined across; cubic triangle
-  count with all books bounded by the largest part.
+* ``rademacher_extremal`` -- weights (1, 1, ceil(n/2) - 2, floor(n/2)),
+  pattern {01, 03, 13, 23}: K_{ceil(n/2), floor(n/2)} plus the edge {0, 1}.
+* ``theorem1_sharp`` -- weights (a, n/2 - 1 - a, 1, b, n/2 - b), pattern
+  {02, 03, 04, 13, 14, 23}: K_{n/2, n/2} with one vertex re-wired to a
+  vertices of its own side and b of the other.
+* ``edwards_generalized`` -- weights (x1, x2, x3, y1, y2, y3), pattern
+  {01, 02, 12, 34, 35, 45, 03, 14, 25}: the triangular prism, two complete
+  tripartite sides with matching parts joined across.
 
-Part sizes are exact integer functions of (n, alpha) with alpha a rational,
-so outputs are reproducible bit for bit.
+The statistics come from the pattern alone: e = sum of w_i*w_j over the
+pattern edges, the book of edge ij is the weight of the common pattern
+neighbours of i and j, 3t = sum of w_i*w_j*book_ij, and b is the largest
+book over the edges whose two parts are nonempty.  Part sizes are exact
+integer functions of (n, alpha) with alpha a rational, so outputs are
+reproducible bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .analytics import TriangleStats, _edge_codegrees, _t_and_b
 from .errors import ParameterError
-from .graph import Graph, complete_bipartite
+from .graph import Graph, _blowup
 
 __all__ = [
     "ConstructionReport",
@@ -33,6 +40,7 @@ __all__ = [
     "edwards_generalized",
     "predicted_vs_actual",
     "as_alpha",
+    "strict_book_cap",
 ]
 
 
@@ -49,10 +57,9 @@ def as_alpha(value) -> Fraction:
         raise ParameterError(f"bad rational {value!r}: {exc}") from None
 
 
-def _strict_floor(x: Fraction) -> int:
-    """Largest integer strictly below x."""
-    fl = x.numerator // x.denominator
-    return fl - 1 if x.denominator == 1 else fl
+def strict_book_cap(n: int, alpha: Fraction) -> int:
+    """Smallest integer cap with (b < cap) equivalent to (b < alpha*n/2)."""
+    return math.ceil(alpha * n / 2)
 
 
 @dataclass(frozen=True)
@@ -92,6 +99,25 @@ class ConstructionReport:
         }
 
 
+def _report(kind, n, alpha, part_sizes, weights, pattern) -> ConstructionReport:
+    """The blow-up of pattern by weights, with e, t and b computed from the
+    pattern alone, never read off the graph."""
+    nbrs = [set() for _ in weights]
+    for i, j in pattern:
+        nbrs[i].add(j)
+        nbrs[j].add(i)
+    e = t3 = b = 0
+    for i, j in pattern:
+        book = sum(weights[k] for k in nbrs[i] & nbrs[j])
+        e += weights[i] * weights[j]
+        t3 += weights[i] * weights[j] * book
+        if weights[i] and weights[j]:
+            b = max(b, book)
+    return ConstructionReport(
+        kind, n, alpha, _blowup(weights, pattern), part_sizes, e, t3 // 3, b
+    )
+
+
 def rademacher_extremal(n: int) -> ConstructionReport:
     """K_{ceil(n/2), floor(n/2)} plus the edge {0, 1} inside the larger part.
 
@@ -102,17 +128,9 @@ def rademacher_extremal(n: int) -> ConstructionReport:
     if n < 4:
         raise ParameterError(f"need n >= 4, got {n}")
     big, small = (n + 1) // 2, n // 2
-    g = complete_bipartite(big, small)
-    g.add_edge(0, 1)
-    return ConstructionReport(
-        kind="rademacher",
-        n=n,
-        alpha=None,
-        graph=g,
-        part_sizes=[big, small],
-        e=g.m,
-        predicted_t=small,
-        predicted_b=small,
+    return _report(
+        "rademacher", n, None, [big, small], [1, 1, big - 2, small],
+        [(0, 1), (0, 3), (1, 3), (2, 3)],
     )
 
 
@@ -134,38 +152,20 @@ def theorem1_sharp(n: int, alpha) -> ConstructionReport:
     if not Fraction(1, 2) < alpha < 1:
         raise ParameterError(f"alpha must be in (1/2, 1), got {alpha}")
     half = n // 2
-    cap_frac = alpha * n / 2
-    floor_cap = cap_frac.numerator // cap_frac.denominator
-    a = floor_cap - 1
-    if a < 1:
-        raise ParameterError(f"degenerate attachment count {a} for alpha={alpha}, n={n}")
+    a = alpha * n // 2 - 1  # alpha > 1/2 and n >= 8 put alpha*n/2 above 2, so a >= 1
     b = half + 1 - a
-    strict = _strict_floor(cap_frac)
+    strict = strict_book_cap(n, alpha) - 1
     if b > strict:
         b = strict
         a = half + 1 - b
         if a > strict:
             raise ParameterError(
-                f"no attachment split of {half + 1} fits below book cap {cap_frac}"
+                f"no attachment split of {half + 1} fits below book cap {alpha * n / 2}"
             )
-
-    g = complete_bipartite(half, half)
-    v = half - 1
-    for y in range(half, n):
-        g.remove_edge(v, y)
-    for x in range(a):
-        g.add_edge(v, x)
-    for y in range(half, half + b):
-        g.add_edge(v, y)
-    return ConstructionReport(
-        kind="theorem1",
-        n=n,
-        alpha=alpha,
-        graph=g,
-        part_sizes=[a, b],
-        e=g.m,
-        predicted_t=a * b,
-        predicted_b=max(a, b),
+    # parts (A, rest of v's side, v, B, rest of the other side)
+    return _report(
+        "theorem1", n, alpha, [a, b], [a, half - 1 - a, 1, b, half - b],
+        [(0, 2), (0, 3), (0, 4), (1, 3), (1, 4), (2, 3)],
     )
 
 
@@ -186,36 +186,16 @@ def edwards_generalized(n: int, alpha) -> ConstructionReport:
         raise ParameterError(f"alpha must be in (1/3, 1/2), got {alpha}")
     if n < 24:
         raise ParameterError(f"need n >= 24, got {n}")
-    g = Graph(n)  # refuses n above the vertex cap before the part rows are built
-    first = _strict_floor(alpha * n / 2)
+    first = strict_book_cap(n, alpha) - 1
     side = (n + 1) // 2
     if side > 3 * first:
         raise ParameterError(f"no 3-part split of {side} stays below book cap {alpha * n / 2}")
-
-    def side_parts(size: int) -> list[int]:
-        rem = size - first
-        return [first, (rem + 1) // 2, rem // 2]
-
-    xs = side_parts(side)
-    ys = side_parts(n // 2)
-
-    sizes = xs + ys
-    starts = [sum(sizes[:i]) for i in range(6)]
-    masks = [((1 << s) - 1) << lo for s, lo in zip(sizes, starts)]
-    for i in range(6):
-        # the rest of part i's own side plus the matching part across
-        row = sum(masks[j] for j in range(6) if (j // 3 == i // 3) != (j % 3 == i % 3))
-        g.adj[starts[i]:starts[i] + sizes[i]] = [row] * sizes[i]
-
-    return ConstructionReport(
-        kind="edwards",
-        n=n,
-        alpha=alpha,
-        graph=g,
-        part_sizes=xs + ys,
-        e=g.m,
-        predicted_t=xs[0] * xs[1] * xs[2] + ys[0] * ys[1] * ys[2],
-        predicted_b=max(xs + ys),
+    sizes = [
+        p for size in (side, n // 2) for p in (first, (size - first + 1) // 2, (size - first) // 2)
+    ]
+    return _report(
+        "edwards", n, alpha, sizes, sizes,
+        [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (0, 3), (1, 4), (2, 5)],
     )
 
 

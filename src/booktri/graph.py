@@ -12,6 +12,7 @@ read off them, never stored beside them.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -139,20 +140,27 @@ def new_graph(n: int) -> Graph:
     return Graph(n)
 
 
+def _blowup(weights: list[int], pattern: list[tuple[int, int]]) -> Graph:
+    """Weighted blow-up of a pattern graph.  Part i is weights[i] consecutive
+    vertices forming an independent set, and each pattern edge (i, j) joins
+    parts i and j completely; every vertex of a part shares one row mask."""
+    g = Graph(sum(weights))  # refuses n above the vertex cap before any row is built
+    starts = list(accumulate(weights, initial=0))
+    masks = [((1 << w) - 1) << lo for w, lo in zip(weights, starts)]
+    rows = [0] * len(weights)
+    for i, j in pattern:
+        rows[i] |= masks[j]
+        rows[j] |= masks[i]
+    for row, w, lo in zip(rows, weights, starts):
+        g.adj[lo:lo + w] = [row] * w
+    return g
+
+
 def complete_bipartite(a: int, b: int) -> Graph:
     """K_{a,b}: vertices 0..a-1 on one side, a..a+b-1 on the other."""
     if a < 1 or b < 1:
         raise GraphSizeError(f"part sizes must be positive, got {a}, {b}")
-    if a + b > MAX_VERTICES:
-        raise GraphSizeError(f"total vertex count {a + b} exceeds {MAX_VERTICES}")
-    g = Graph(a + b)
-    left = (1 << a) - 1
-    right = ((1 << b) - 1) << a
-    for u in range(a):
-        g.adj[u] = right
-    for v in range(a, a + b):
-        g.adj[v] = left
-    return g
+    return _blowup([a, b], [(0, 1)])
 
 
 def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:

@@ -40,10 +40,10 @@ from .analytics import _edge_codegrees
 from .codec import to_graph6
 from .constructions import (
     ConstructionReport,
-    _strict_floor,
     as_alpha,
     edwards_generalized,
     rademacher_extremal,
+    strict_book_cap,
     theorem1_sharp,
 )
 from .errors import ExplosionGuardError, ParameterError
@@ -531,11 +531,6 @@ class SweepEntry:
     best_t: int | None
     source: str
     graph6: str | None
-
-
-def strict_book_cap(n: int, alpha: Fraction) -> int:
-    """Smallest integer cap with (b < cap) equivalent to (b < alpha*n/2)."""
-    return _strict_floor(alpha * n / 2) + 1
 
 
 def alpha_sweep(

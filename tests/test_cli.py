@@ -487,6 +487,18 @@ def test_frontier_anneal_reproducible(tmp_path):
     assert record["mode"] == "heuristic" and record["rng"] == "numpy-pcg64"
 
 
+def test_frontier_threads_pass_through(tmp_path, monkeypatch):
+    # the CLI hands --threads to extremal_scan unclamped; the scan owns the clamp
+    monkeypatch.delenv("BOOKTRI_THREADS", raising=False)
+    records = {}
+    for threads in ("1", "0", "-5", "2"):
+        out = tmp_path / f"rec{threads}.json"
+        assert main(["frontier", "--n", "6", "--e", "10", "--mode", "exhaustive",
+                     f"--threads={threads}", "--out", str(out)]) == 0
+        records[threads] = out.read_bytes()
+    assert all(blob == records["1"] for blob in records.values())
+
+
 def test_frontier_threads_env(tmp_path, monkeypatch):
     monkeypatch.setenv("BOOKTRI_THREADS", "2")
     out = tmp_path / "rec.json"

@@ -2,10 +2,14 @@ import dataclasses
 import hashlib
 import json
 from fractions import Fraction
+from itertools import accumulate, combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import booktri as bt
+from booktri.constructions import _report
 from conftest import brute_max_book, brute_triangle_count, sharp_split_exists
 
 
@@ -75,8 +79,9 @@ def test_theorem1_refusal_matches_closed_form():
             predicted = not sharp_split_exists(n, alpha)
             assert predicted == (alpha * n / 2 <= -(-(n // 2 + 1) // 2))
             try:
-                bt.theorem1_sharp(n, alpha)
+                r = bt.theorem1_sharp(n, alpha)
                 refused = False
+                assert r.e == r.graph.m
             except bt.ParameterError:
                 refused = True
             if refused != predicted:
@@ -143,6 +148,7 @@ def test_edwards_refusal_matches_closed_form():
                 r = bt.edwards_generalized(n, alpha)
                 refused = False
                 assert max(r.part_sizes) < cap
+                assert r.e == r.graph.m
             except bt.ParameterError:
                 refused = True
             refusals += refused
@@ -168,6 +174,8 @@ def test_edwards_errors():
 
 def test_predicted_vs_actual():
     assert bt.predicted_vs_actual(bt.rademacher_extremal(10))
+    for n in range(4, 8):  # at n = 4 the rest of the big side has weight 0
+        assert bt.predicted_vs_actual(bt.rademacher_extremal(n))
     assert bt.predicted_vs_actual(bt.theorem1_sharp(20, Fraction(7, 10)))
     good = bt.edwards_generalized(48, Fraction(2, 5))
     assert bt.predicted_vs_actual(good)
@@ -208,6 +216,37 @@ def test_report_json_dict():
     assert bt.from_graph6(d["graph6"]) == bt.rademacher_extremal(10).graph
     d = bt.theorem1_sharp(20, "7/10").to_json_dict()
     assert d["alpha"] == "7/10" and d["predicted_t"] == d["measured_t"] == 30
+
+
+@st.composite
+def blowups(draw):
+    """A pattern on k <= 6 parts, possibly edgeless, with weights 0..4
+    (empty parts allowed) summing to at least 1."""
+    k = draw(st.integers(1, 6))
+    weights = draw(st.lists(st.integers(0, 4), min_size=k, max_size=k).filter(any))
+    pattern = [
+        (j, i) if draw(st.booleans()) else (i, j)  # either orientation of each edge
+        for i, j in combinations(range(k), 2)
+        if draw(st.booleans())
+    ]
+    return weights, pattern
+
+
+@settings(deadline=None)
+@given(blowups())
+def test_blowup_closed_forms_match_brute_force(case):
+    weights, pattern = case
+    r = _report("pattern", sum(weights), None, weights, weights, pattern)
+    assert r.e == r.graph.m
+    assert r.predicted_t == brute_triangle_count(r.graph)
+    assert r.predicted_b == brute_max_book(r.graph)
+    starts = list(accumulate(weights, initial=0))
+    pairwise = bt.new_graph(sum(weights))
+    for i, j in pattern:
+        for u in range(starts[i], starts[i + 1]):
+            for v in range(starts[j], starts[j + 1]):
+                pairwise.add_edge(u, v)
+    assert r.graph == pairwise
 
 
 # sha256 of the canonical JSON of each report, taken before the codegree
