@@ -14,9 +14,13 @@ feasible states seen.  It keeps the book of every present edge, a histogram
 of book sizes and the current (t, b), and updates them along the common
 neighbourhoods of the swapped edges, so a proposal costs O(codegree), not
 O(m).  Its draws are numpy's: the values Generator.integers and random()
-give on the seeded PCG64 stream (numpy >= 2.0), computed from raw words in
-bulk.  Heuristic results are empirical upper bounds on the true minimum,
-never proofs.
+give on the seeded PCG64 stream (numpy >= 2.0).  A swap keeps both pool
+sizes, so every draw has one of two fixed bounds, and each chunk of raw
+words is decoded once in numpy into lists of each half's bounded draw and
+each word's uniform.  A proposal reads its pair by index: both halves of
+one word (aligned), or the buffered half of the last word and the next
+word's low half (shifted).  Heuristic results are empirical upper bounds
+on the true minimum, never proofs.
 
 The alpha sweep tries every extremal family at each alpha.  Each family
 refuses the parameters outside its own domain, so the sweep keeps whatever
@@ -31,7 +35,7 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
+from functools import cache
 from typing import Sequence
 
 import numpy as np
@@ -146,9 +150,11 @@ class FrontierRecord:
 # -- exhaustive scan ---------------------------------------------------------
 
 
+@cache
 def _half(n: int, slots: int, shift: int, width: int):
     """Tables for mask bits shift..shift+width-1: the half-masks of each
     popcount in descending order, and the n vertex rows each half-mask sets.
+    Built once per argument tuple and read-only.
 
     Slot i of edge_slots(n) sits at mask bit slots-1-i, so lexicographic
     order of edge subsets is descending mask order (Knuth, TAOCP 4A
@@ -163,7 +169,10 @@ def _half(n: int, slots: int, shift: int, width: int):
         rows[u] |= bit << v
         rows[v] |= bit << u
     pops = np.bitwise_count(masks)
-    return [masks[pops == k][::-1] for k in range(width + 1)], rows
+    by_pop = tuple(masks[pops == k][::-1] for k in range(width + 1))
+    for a in (*by_pop, rows):
+        a.flags.writeable = False
+    return by_pop, rows
 
 
 def extremal_scan(n: int, e: int, threads: int = 1) -> FrontierRecord:
@@ -254,9 +263,10 @@ def extremal_scan(n: int, e: int, threads: int = 1) -> FrontierRecord:
 class AnnealParams:
     """Knobs for one annealing run.
 
-    book_cap is a strict upper bound: states with max book >= book_cap are
-    rejected outright, keeping the whole walk inside the capped class.  No
-    graph has a book below 0, so the cap must be at least 1.
+    book_cap, budget and seed are ints.  book_cap is a strict upper bound:
+    states with max book >= book_cap are rejected outright, keeping the
+    whole walk inside the capped class.  No graph has a book below 0, so the
+    cap must be at least 1.
     Temperature starts at t0 > 0 and decays geometrically per proposal; once
     it underflows to 0.0 no uphill move is accepted.  A proposal costs
     O(codegree) whatever the edge count (see anneal_min_triangles).
@@ -270,6 +280,10 @@ class AnnealParams:
     decay: float = 0.9995
 
     def __post_init__(self):
+        named = (("book cap", self.book_cap), ("budget", self.budget), ("seed", self.seed))
+        for name, value in named:
+            if not isinstance(value, int):
+                raise ParameterError(f"{name} must be an integer, got {value!r}")
         if self.book_cap < 1:
             raise ParameterError(f"book cap must be >= 1, got {self.book_cap}")
         if self.budget < 1:
@@ -282,42 +296,106 @@ class AnnealParams:
             raise ParameterError("seed must fit in 64 bits")
 
 
+_CHUNK = 4096  # raw words fetched and decoded at a time
+
+
+def _lemire(halves: np.ndarray, k: int) -> list[int]:
+    """Generator.integers(0, k) on each 32-bit half by Lemire's method (2019),
+    or -1 where the method rejects the half and draws again.  All -1 for
+    k = 1, which numpy answers without a half."""
+    if k == 1:
+        return [-1] * halves.size
+    m = halves * np.uint64(k)
+    ok = (m & 0xFFFFFFFF) >= (0x100000000 - k) % k
+    return np.where(ok, (m >> 32).astype(np.int64), -1).tolist()
+
+
 class _Draws:
-    """numpy's Generator.integers(0, k) for k < 2**32 and random(): the same
-    values from the same PCG64 stream, computed from raw words in bulk.
+    """numpy's Generator.integers(0, k) for the two pool sizes kr and ka, and
+    its random(): the same values from the same PCG64 stream, decoded from
+    raw words a chunk at a time.
 
     numpy >= 2.0 bounds a draw by Lemire's method on a 32-bit half: the low
     half of a fresh word, then its buffered high half (has_uint32 and
-    uinteger in bit_generator.state); k = 1 takes no word.  random() takes a
-    whole word and leaves the buffer alone.  Words are read ahead, so the
-    wrapped Generator must not be used afterwards.
+    uinteger in bit_generator.state); k = 1 takes no half.  random() is
+    (w >> 11) * 2**-53 of a whole word and leaves the buffer alone.
+
+    The stream's position is (j, h): word j is the next fresh word, and h is
+    the index of the word whose high half is buffered, or -1.  A chunk holds
+    that buffered word at index 0 and _CHUNK fresh words after it.  Lists
+    give each word's draws: uniform its random(), lo_r and hi_r
+    integers(0, kr) on its low and high half, lo_a and hi_a the same for ka
+    (-1 where Lemire rejects).  A pair of draws with no buffered half reads
+    lo_r and hi_a of one word (aligned); with one, hi_r of the buffered word
+    and lo_a of the next (shifted).  Each chunk decodes the two lists of its
+    pairing, and the other two once a pair switches to it.  The lists are
+    refilled in place, so a caller may hold on to them.  Words are read
+    ahead, so the wrapped Generator must not be used afterwards.
     """
 
-    def __init__(self, rng: np.random.Generator):
+    def __init__(self, rng: np.random.Generator, kr: int, ka: int):
         bits = rng.bit_generator
         state = bits.state
-        self._half = state["uinteger"] if state["has_uint32"] else -1
-        # 4096 raw words at a time, without end (a list never equals None)
-        chunks = iter(lambda: bits.random_raw(4096).tolist(), None)
-        self._words = chain.from_iterable(chunks)
+        self._raw = bits.random_raw
+        self._k = (kr, ka)
+        self._w = np.zeros(_CHUNK + 1, dtype=np.uint64)
+        self.uniform, self.lo_r, self.hi_r, self.lo_a, self.hi_a = (
+            [0] * self._w.size for _ in range(5)
+        )
+        self._decoded: set[bool] = set()
+        # no word is fetched before a draw; a half the Generator left
+        # buffered sits in the last slot, which fill carries to index 0
+        self.j, self.h = self._w.size, -1
+        if state["has_uint32"]:
+            self._w[-1], self.h = state["uinteger"] << 32, self._w.size - 1
+
+    def fill(self, h: int) -> int:
+        """Fetch the next chunk, with the buffered word h carried to index 0;
+        the new position is (1, the returned h)."""
+        w = self._w
+        w[0] = w[h]  # with no buffered word, index 0 is never read
+        w[1:] = self._raw(_CHUNK)
+        self.uniform[:] = ((w >> 11) * 2.0**-53).tolist()
+        self._decoded.clear()
+        self._decode(h >= 0)
+        return 0 if h >= 0 else -1
+
+    def _decode(self, shifted: bool) -> None:
+        kr, ka = self._k
+        lo, hi = self._w & 0xFFFFFFFF, self._w >> 32
+        if shifted:
+            self.hi_r[:], self.lo_a[:] = _lemire(hi, kr), _lemire(lo, ka)
+        else:
+            self.lo_r[:], self.hi_a[:] = _lemire(lo, kr), _lemire(hi, ka)
+        self._decoded.add(shifted)
 
     def integers(self, k: int) -> int:
-        """Uniform in [0, k), as rng.integers(0, k)."""
+        """Uniform in [0, k), as rng.integers(0, k), from position (j, h)."""
         while k > 1:
-            if self._half < 0:
-                w = next(self._words)
-                low, self._half = w & 0xFFFFFFFF, w >> 32
+            if self.h < 0:
+                if self.j == self._w.size:
+                    self.h, self.j = self.fill(-1), 1
+                half = int(self._w[self.j]) & 0xFFFFFFFF
+                self.h = self.j
+                self.j += 1
             else:
-                low, self._half = self._half, -1
-            m = low * k
+                half = int(self._w[self.h]) >> 32
+                self.h = -1
+            m = half * k
             # Lemire (2019): redraw while the low word is below 2**32 % k
             if (m & 0xFFFFFFFF) >= (0x100000000 - k) % k:
                 return m >> 32
         return 0
 
-    def random(self) -> float:
-        """Uniform in [0, 1), as rng.random()."""
-        return (next(self._words) >> 11) * 2.0**-53
+    def pair(self, j: int, h: int) -> tuple[int, int, int, int]:
+        """integers(0, kr), then integers(0, ka), from position (j, h), with
+        the position after them; decodes the lists of their pairing."""
+        self.j, self.h = j, h
+        kr, ka = self._k
+        ri, ai = self.integers(kr), self.integers(ka)
+        if (self.h >= 0) not in self._decoded:
+            self._decode(self.h >= 0)
+        return ri, ai, self.j, self.h
 
 
 def anneal_min_triangles(n: int, e: int, params: AnnealParams) -> FrontierRecord:
@@ -333,9 +411,15 @@ def anneal_min_triangles(n: int, e: int, params: AnnealParams) -> FrontierRecord
     O(codegree) rather than O(m); a rejected proposal changes no state.
     Runs are reproducible from the seed (PCG64): the random start uses the
     Generator, and every later draw is the value numpy's integers(0, k) or
-    random() would return, reproduced from raw words by _Draws.  The record
-    carries the generator id, seed, and knobs.  The reported values are
-    upper bounds for the capped minimum, not proofs.
+    random() would return.  _Draws decodes them a chunk of raw words at a
+    time, and the loop reads them by index: a pair comes from one word's
+    low and high half (aligned), or from the buffered high half and the
+    next word's low half (shifted; most random starts leave one), and
+    an uphill move's uniform from the next whole word, leaving the buffer
+    alone.  A half Lemire's method rejects, or a pool of one slot, takes
+    numpy's exact scalar path instead.  The record carries the generator id,
+    seed, and knobs.  The reported values are upper bounds for the capped
+    minimum, not proofs.
     """
     Graph(n)  # refuses n outside 1..MAX_VERTICES before the slot table is built
     slots_list = edge_slots(n)
@@ -425,13 +509,29 @@ def anneal_min_triangles(n: int, e: int, params: AnnealParams) -> FrontierRecord
 
     record_state(cur_t, cur_b)
     temp = params.t0
-    draws = _Draws(rng)  # rng itself is not used again
+    decay = params.decay
+    exp = math.exp
+    # the swap keeps both pool sizes, so every pair draws from the same
+    # bounds; rng itself is not used again
+    draws = _Draws(rng, len(present), len(absent))
+    uniform, lo_r, hi_r, lo_a, hi_a = (
+        draws.uniform, draws.lo_r, draws.hi_r, draws.lo_a, draws.hi_a
+    )
+    j, h, end = draws.j, draws.h, len(uniform)
 
     # with all or no slots occupied the space is a single graph: nothing to swap
     steps = params.budget if present and absent else 0
     for _ in range(steps):
-        ri = draws.integers(len(present))
-        ai = draws.integers(len(absent))
+        if j == end:
+            h, j = draws.fill(h), 1
+        if h < 0:  # aligned: word j's low half, then its high half
+            ri, ai, nh = lo_r[j], hi_a[j], -1
+        else:  # shifted: the buffered half, then word j's low half
+            ri, ai, nh = hi_r[h], lo_a[j], j
+        if ri < 0 or ai < 0:  # a rejected half or a bound of 1
+            ri, ai, j, h = draws.pair(j, h)
+        else:
+            j, h = j + 1, nh
         rem_slot, add_slot = present[ri], absent[ai]
         ru, rv = slots_list[rem_slot]
         au, av = slots_list[add_slot]
@@ -466,8 +566,12 @@ def anneal_min_triangles(n: int, e: int, params: AnnealParams) -> FrontierRecord
             if delta <= 0:
                 accept = True
             else:
-                # temp may underflow to 0.0; the draw keeps the stream fixed
-                accept = draws.random() < (math.exp(-delta / temp) if temp else 0.0)
+                # a whole word, buffer untouched; temp may underflow to
+                # 0.0, and the draw keeps the stream fixed
+                if j == end:
+                    h, j = draws.fill(h), 1
+                accept = uniform[j] < (exp(-delta / temp) if temp else 0.0)
+                j += 1
         if accept:
             # each pool's last slot fills the hole, and the new slot goes last
             present[ri], present[-1] = present[-1], add_slot
@@ -487,7 +591,7 @@ def anneal_min_triangles(n: int, e: int, params: AnnealParams) -> FrontierRecord
             while not hist[cur_b]:
                 cur_b -= 1
             record_state(cur_t, cur_b)
-        temp *= params.decay
+        temp *= decay
 
     frontier = pareto_min((b, t) for b, (t, _) in best_by_b.items())
     witnesses = []

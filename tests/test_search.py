@@ -7,7 +7,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import booktri as bt
@@ -287,6 +287,31 @@ def test_anneal_params_validation():
         bt.AnnealParams(book_cap=0, budget=10, seed=1)
 
 
+@pytest.mark.parametrize(
+    "field, value, shown",
+    [
+        ("book_cap", 4.5, "book cap"),
+        ("book_cap", Fraction(9, 2), "book cap"),
+        ("book_cap", np.int64(5), "book cap"),
+        ("budget", 100.0, "budget"),
+        ("seed", 1.5, "seed"),
+        ("seed", "1", "seed"),
+    ],
+)
+def test_anneal_params_refuse_non_integers(field, value, shown):
+    knobs = {"book_cap": 5, "budget": 100, "seed": 1, field: value}
+    with pytest.raises(bt.ParameterError, match=rf"^{shown} must be an integer, got "):
+        bt.AnnealParams(**knobs)
+
+
+def test_anneal_fractional_cap_regression():
+    """A cap of b + 0.5 once slipped past the cap test: `top = cap - 1` never
+    equals an integer book, so moves that lift a book from b to b + 1 passed,
+    e.g. n = 9, e = 23, cap 4.5 reported pareto [(3, 14), (5, 13)]."""
+    with pytest.raises(bt.ParameterError, match=r"^book cap must be an integer, got 4\.5$"):
+        bt.anneal_min_triangles(9, 23, bt.AnnealParams(book_cap=4.5, budget=400, seed=1))
+
+
 def _canonical(record) -> str:
     return json.dumps(record.to_json_dict(), sort_keys=True, separators=(",", ":"))
 
@@ -363,6 +388,28 @@ def test_anneal_matches_full_recount_reference():
     assert ran >= 15
 
 
+def test_anneal_matches_reference_past_chunk_boundaries(monkeypatch):
+    """Budgets of 9,000 proposals read at least 9,000 words, so the walk
+    crosses two chunk boundaries of _Draws: once from a random start whose
+    draws leave half a word buffered (the shifted pairing) and once from init
+    (aligned)."""
+    fills = []
+    fill = bt.search._Draws.fill
+    monkeypatch.setattr(bt.search._Draws, "fill", lambda d, h: fills.append(h) or fill(d, h))
+    init = random_graph(random.Random(7), 8, 0.5)
+    cap = brute_max_book(init) + 1
+    cases = [
+        (7, 12, bt.AnnealParams(book_cap=4, budget=9000, seed=11, t0=8.0)),
+        (8, init.m, bt.AnnealParams(book_cap=cap, budget=9000, seed=12, init=init)),
+    ]
+    for n, e, params in cases:
+        fills.clear()
+        expected = _canonical(anneal_reference(n, e, params))
+        assert _canonical(bt.anneal_min_triangles(n, e, params)) == expected, (n, e)
+        assert len(fills) >= 3
+        assert (fills[0] >= 0) == (params.init is None)
+
+
 # bounds for _Draws: any k < 2**32, plus ranges where Lemire's method rejects
 # often (about 1/4 of draws near 3 * 2**30, 1/2 just above 2**31)
 _BOUNDS = st.one_of(
@@ -373,27 +420,108 @@ _BOUNDS = st.one_of(
 )
 
 
-@settings(deadline=None)
+class _Reader:
+    """Reads _Draws as anneal_min_triangles does: each pair by index off the
+    decoded lists in the aligned or shifted pairing, numpy's exact scalar
+    path on a rejected half or a bound of 1, and a uniform by index."""
+
+    def __init__(self, draws):
+        self.draws, self.j, self.h = draws, draws.j, draws.h
+        self.pairings = set()
+
+    def _word(self):
+        if self.j == len(self.draws.uniform):
+            self.h, self.j = self.draws.fill(self.h), 1
+
+    def pair(self) -> tuple[int, int]:
+        self._word()
+        d, j, h = self.draws, self.j, self.h
+        ri, ai = (d.lo_r[j], d.hi_a[j]) if h < 0 else (d.hi_r[h], d.lo_a[j])
+        if ri < 0 or ai < 0:
+            ri, ai, self.j, self.h = d.pair(j, h)
+        else:
+            self.pairings.add("aligned" if h < 0 else "shifted")
+            self.h = -1 if h < 0 else j
+            self.j = j + 1
+        return ri, ai
+
+    def uniform(self) -> float:
+        self._word()
+        self.j += 1
+        return self.draws.uniform[self.j - 1]
+
+
+@settings(deadline=None, max_examples=60)
+@example(seed=1, odd_start=True, kr=1, ka=1000, steps=5000, uphill=1.0)
+@example(seed=2, odd_start=False, kr=7, ka=1, steps=5000, uphill=0.3)
+@example(seed=3, odd_start=False, kr=3 * 2**30, ka=2**31 + 1, steps=5000, uphill=0.3)
+@example(seed=4, odd_start=True, kr=10, ka=5, steps=9000, uphill=1.0)
 @given(
     seed=st.integers(0, 2**64 - 1),
     odd_start=st.booleans(),
-    calls=st.lists(st.one_of(st.none(), _BOUNDS), max_size=300),
+    kr=_BOUNDS,
+    ka=_BOUNDS,
+    steps=st.integers(0, 9000),
+    uphill=st.sampled_from([0.0, 0.3, 1.0]),
 )
-def test_draws_match_numpy_generator(seed, odd_start, calls):
-    """_Draws against a twin Generator on a random interleaving of
-    integers(k) and random() (None), draw for draw.  An odd start leaves
-    half a word buffered in both (has_uint32 set) before _Draws takes over;
-    the closing draws check that both streams end at the same position."""
+def test_draws_match_numpy_generator(seed, odd_start, kr, ka, steps, uphill):
+    """_Draws against a twin Generator, replaying the annealer's draws: a
+    pair integers(0, kr), integers(0, ka), then a random() on an uphill
+    move.  An odd start leaves half a word buffered in both (has_uint32 set)
+    before _Draws takes over, so the pairs start shifted; 9,000 uphill
+    steps read 18,000 words, over four chunk boundaries.  The closing draws
+    check that both streams end at the same position."""
     rng, twin = (np.random.Generator(np.random.PCG64(seed)) for _ in range(2))
     if odd_start:
         assert rng.integers(0, 7) == twin.integers(0, 7)
     assert rng.bit_generator.state == twin.bit_generator.state
-    draws = bt.search._Draws(rng)
-    for k in calls + [2, None]:
-        if k is None:
-            assert draws.random() == twin.random()
-        else:
-            assert draws.integers(k) == twin.integers(0, k), k
+    reader = _Reader(bt.search._Draws(rng, kr, ka))
+    moves = random.Random(seed)
+    for _ in range(steps):
+        assert reader.pair() == (twin.integers(0, kr), twin.integers(0, ka)), (kr, ka)
+        if moves.random() < uphill:
+            assert reader.uniform() == twin.random()
+    assert reader.pair() == (twin.integers(0, kr), twin.integers(0, ka))
+    assert reader.uniform() == twin.random()
+
+
+@pytest.mark.parametrize("k", [3, 1001, 3 * 2**30 + 1, 2**31 + 1])
+def test_draws_lemire_threshold_is_exact(k):
+    """A buffered half x whose product x * k leaves exactly (2**32 - k) % k
+    in its low word is accepted, and one leaving one less is rejected.
+    Random streams almost never hit that edge, so the half is set in the
+    state of both generators (k is odd, so x = leftover / k mod 2**32)."""
+    threshold = (2**32 - k) % k
+    for leftover in (threshold, threshold - 1):
+        x = leftover * pow(k, -1, 2**32) % 2**32
+        rng, twin = (np.random.Generator(np.random.PCG64(9)) for _ in range(2))
+        for g in (rng, twin):
+            state = g.bit_generator.state
+            state["has_uint32"], state["uinteger"] = 1, x
+            g.bit_generator.state = state
+        reader = _Reader(bt.search._Draws(rng, k, 7))
+        first = twin.integers(0, k)
+        assert (first == x * k >> 32) == (leftover == threshold)
+        assert reader.pair() == (first, twin.integers(0, 7))
+        assert reader.uniform() == twin.random()
+        # the decoded list itself, not only the exact path behind a -1
+        assert reader.draws.hi_r[0] == (first if leftover == threshold else -1)
+
+
+def test_draws_take_both_pairings_past_chunk_boundaries():
+    """Each pairing holds across chunk boundaries: a fresh stream pairs
+    aligned and a buffered half pairs shifted, and with small bounds no half
+    is rejected, so neither switches over 20,000 words."""
+    for odd_start, pairing in ((False, "aligned"), (True, "shifted")):
+        rng, twin = (np.random.Generator(np.random.PCG64(3)) for _ in range(2))
+        if odd_start:
+            rng.integers(0, 7)
+            twin.integers(0, 7)
+        reader = _Reader(bt.search._Draws(rng, 401, 379))
+        for _ in range(10_000):
+            assert reader.pair() == (twin.integers(0, 401), twin.integers(0, 379))
+            assert reader.uniform() == twin.random()
+        assert reader.pairings == {pairing}
 
 
 def test_draws_bound_one_takes_no_word():
@@ -403,7 +531,7 @@ def test_draws_bound_one_takes_no_word():
             rng.integers(0, 3)
             twin.integers(0, 3)
         assert rng.bit_generator.state["has_uint32"] == has_half
-        draws = bt.search._Draws(rng)
+        draws = bt.search._Draws(rng, 1, 1000)
         assert [draws.integers(1) for _ in range(5)] == [0] * 5
         assert twin.integers(0, 1) == 0
         assert twin.bit_generator.state == rng.bit_generator.state
