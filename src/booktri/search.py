@@ -3,10 +3,16 @@
 Exhaustive scans cover every labeled graph on n <= 8 vertices with exactly e
 edges and reduce the (max book, triangles) pairs to a Pareto frontier with
 one witness per frontier point: the first graph achieving it in lexicographic
-order of the edge subset.  The scan is one numpy kernel over blocks of edge
-masks, which reads each edge's presence off the half-mask holding its bit.
-One worker runs on the calling thread and more share a thread pool; the
-record does not depend on the thread count.
+order of the edge subset, i.e. the largest edge mask.  The top n-1 mask bits
+spell N(0), so relabelling a max-degree vertex to 0 and its neighbours to
+1..d makes them 1^d 0^(n-1-d), a larger mask unless N(0) was {1..d}.  So a
+witness has N(0) = {1..d}, d its maximum degree, and the scan examines only
+the high half-masks whose top n-1 bits read 1^d 0^(n-1-d) (the prefix cut)
+and in which no vertex has more than d neighbours yet (the degree cut); the
+first step of orderly generation (Read 1978; McKay 1998).  It is one numpy
+kernel over blocks of edge masks, which reads each edge's presence off the
+half-mask holding its bit.  One worker runs on the calling thread and more
+share a thread pool; the record does not depend on the thread count.
 
 Annealing walks the same fixed-edge-count space with single edge swaps,
 rejecting any state whose largest book reaches the cap, and reports the best
@@ -158,7 +164,8 @@ def _half(n: int, slots: int, shift: int, width: int):
 
     Slot i of edge_slots(n) sits at mask bit slots-1-i, so lexicographic
     order of edge subsets is descending mask order (Knuth, TAOCP 4A
-    7.2.1.3).
+    7.2.1.3).  The top half (shift + width == slots) holds the slots
+    (0, v) and lists only the half-masks that pass both cuts.
     """
     table = edge_slots(n)
     masks = np.arange(1 << width, dtype=np.uint32)
@@ -169,6 +176,11 @@ def _half(n: int, slots: int, shift: int, width: int):
         rows[u] |= bit << v
         rows[v] |= bit << u
     pops = np.bitwise_count(masks)
+    if shift + width == slots:
+        top = masks >> (width - (n - 1))  # N(0), bit (0,1) first
+        comp = ~top & ((1 << (n - 1)) - 1)  # 0^d 1^(n-1-d) iff N(0) = {1..d}
+        keep = (comp & (comp + 1) == 0) & (np.bitwise_count(rows).max(0) <= np.bitwise_count(top))
+        masks, pops = masks[keep], pops[keep]
     by_pop = tuple(masks[pops == k][::-1] for k in range(width + 1))
     for a in (*by_pop, rows):
         a.flags.writeable = False
@@ -179,17 +191,21 @@ def extremal_scan(n: int, e: int, threads: int = 1) -> FrontierRecord:
     """Exact minima and Pareto frontier of (b, t) over every labeled graph
     with n vertices and e edges.
 
-    Each e-edge mask is a high half OR a low half.  A block pairs a slice of
-    the high halves of popcount h with every low half of popcount e-h, both
-    in descending order, so the block itself is in rank order.  Codegrees
-    come from popcounts of ANDed vertex rows; an edge slot is one bit of the
-    high or the low half-mask, so its presence is a column taken from the
-    block's high halves or a row taken from its low halves.  Each block
-    keeps its first graph per pair of its local Pareto set as its (high,
-    low) halves, and merging keeps the largest pair, i.e. the largest mask
-    and lowest rank.  A witness's rows are its halves' table rows ORed.  One
-    worker scans the blocks on the calling thread, more share a thread
-    pool; the record is identical for any thread count.
+    Only the high halves past the prefix and degree cuts are examined, so
+    only graphs whose vertex 0 is a max-degree vertex adjacent to 1..d; they
+    hold every pair's witness (module docstring), and `scanned` stays
+    C(slots, e), the graphs covered.  Each e-edge mask is a
+    high half OR a low half.  A block pairs a slice of the high halves of
+    popcount h with every low half of popcount e-h, both in descending
+    order, so the block itself is in rank order.  Codegrees come from
+    popcounts of ANDed vertex rows; an edge slot is one bit of the high or
+    the low half-mask, so its presence is a column taken from the block's
+    high halves or a row taken from its low halves.  Each block keeps its
+    first graph per pair of its local Pareto set as its (high, low) halves,
+    and merging keeps the largest pair, i.e. the largest mask and lowest
+    rank.  A witness's rows are its halves' table rows ORed.  One worker
+    scans the blocks on the calling thread, more share a thread pool; the
+    record is identical for any thread count.
     """
     slots = _guard(n, e)
     low = slots // 2

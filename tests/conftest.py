@@ -77,23 +77,21 @@ def random_triangle_free(rng: random.Random, n: int, p: float) -> bt.Graph:
     """Random graph cleaned by one greedy pass: any edge that still has a
     common neighbor when visited is deleted.  Deletions never create common
     neighbors, so the survivors form a triangle-free graph."""
-    adj = [set() for _ in range(n)]
+    adj = [0] * n
     edges = []
+    draw = rng.random
     for u in range(n):
         for v in range(u + 1, n):
-            if rng.random() < p:
-                adj[u].add(v)
-                adj[v].add(u)
+            if draw() < p:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
                 edges.append((u, v))
     for u, v in edges:
-        if v in adj[u] and adj[u] & adj[v]:
-            adj[u].discard(v)
-            adj[v].discard(u)
+        if adj[u] >> v & 1 and adj[u] & adj[v]:
+            adj[u] ^= 1 << v
+            adj[v] ^= 1 << u
     g = bt.new_graph(n)
-    for u in range(n):
-        for v in adj[u]:
-            if v > u:
-                g.add_edge(u, v)
+    g.adj = adj
     return g
 
 

@@ -78,7 +78,7 @@ def _oracle_scan(n, e):
 @pytest.mark.parametrize(
     "n,e",
     [(5, e) for e in range(11)]
-    + [(6, 10)]
+    + [(6, e) for e in range(16)]
     + [(n, e) for n in range(1, 5) for e in (0, math.comb(n, 2))],
 )
 def test_extremal_scan_matches_oracle(n, e):
@@ -108,7 +108,7 @@ def test_extremal_scan_thread_invariant():
 def test_extremal_scan_block_invariant(monkeypatch, block, threads):
     # small blocks split every popcount class into many jobs, so each block's
     # edge presence must come from its own slice of the half-masks
-    default = {ne: bt.extremal_scan(*ne) for ne in [(6, 10), (7, 13)]}
+    default = {ne: bt.extremal_scan(*ne) for ne in [(6, 10), (7, 13), (8, 7), (8, 21)]}
     monkeypatch.setattr(bt.search, "_BLOCK", block)
     for ne, want in default.items():
         got = bt.extremal_scan(*ne, threads=threads)
@@ -133,9 +133,52 @@ def test_frontier_monotone_under_cap():
     assert record.min_t_under_cap(0) is None
 
 
-# sha256 of each record's canonical JSON, taken from the scan before its
-# rewrite onto the popcount kernel; scan output must never change.
+# sha256 of each record's canonical JSON for every (n, e) with n <= 8.  The
+# n=7 keys, (8,7) and (8,21) come from the scan before its rewrite onto the
+# popcount kernel, the rest from the scan before it skipped the graphs no
+# witness can be; scan output must never change.
 SCAN_PINS = {
+    "1,0": "ce026301d23907231951487b9a6c96880aa5f262a7f14e7831ba8880e5a46f6a",
+    "2,0": "4bf8639e62e429e6d8b7355b8939a2629090a7c5273e9f8939e303cc5375c1dc",
+    "2,1": "474593b34e3abb9002094fc53636a541f6487465af328e9b9701b308d8a1840d",
+    "3,0": "acbfd414daca898f2c02c9d600b5c9e34194a991b7c7d345d33a0aad46d90665",
+    "3,1": "1c04e0a431024bb04ed70c206ad50901dd2c4402080dbd3a752e0fb237c12a89",
+    "3,2": "cdb9bc3521ba2118844b1f49391f260457ade46cdb9ac99776f68b646c70729b",
+    "3,3": "67457d6d8101c255fb07dea8b3d0af96f36c692abfd05129dda8a8b88c961055",
+    "4,0": "e988dcff81efb9daefbca3571f22ee09e943513238a2e40a6aab9cba41bbce7c",
+    "4,1": "d12ba443ec9e36c216abbf6e90371ff463528a4eedd0419c5becd800eaa815e2",
+    "4,2": "051a3d2b13bc65b89435be3759693fd89d29d633b345a3257bcfc47930b6d52e",
+    "4,3": "45ece144fa25975eaa2bc3aa9c5fa1ed343571dfc984c7b871cacb8ad71ea9de",
+    "4,4": "c01e5416a8944d5830e2809bab1d153fdaf6c8b2895b044b3b72484c1a961ee8",
+    "4,5": "141dc97a7f1c5d1e463a6345a66c26eedf172223653e6930019fed63991886d3",
+    "4,6": "8df3dc0016c5192f11cc77ef4794fb12662a93ebaa68700a81efdf869f74b9de",
+    "5,0": "ff41bf3a224f5cad8dfb74a59f8ab59b3738d1213c633624ac53c5f5783efc77",
+    "5,1": "9016b8ab0afd6c292e5828f8e07f3ceca2e99b350e500222537bd9a241eb36ac",
+    "5,2": "d79facab4e1433c0b8c46e154b975975b80584bf9577e8eb93ce6675eef6f69c",
+    "5,3": "5662c2e34874faabf53a2d89bfe2453fa956b89066396d1dd0f7c36d6bdff671",
+    "5,4": "207f450593becae6ec7836a4586ea2b832057550a9b96d114979bfe7ec8adfe6",
+    "5,5": "37011284c448e3ac0efaf2f0a60b319d0e4628477c15f80011f6c0525fb348ba",
+    "5,6": "55abee1dc7fca9cec6a4d7a2a61a88c537d5ce5e8eb51a43bcbca0d637073a50",
+    "5,7": "a76c4c4e762e48e8d5f05c87cd4f3b87ac90d691bfa747efb6fecc86df92539a",
+    "5,8": "9daa8b01c4db8f7acef3e77177e87e03b76e07c26a593ab0c08f70689f2fd62b",
+    "5,9": "c78f4fd2892fa1b5fa0b7342350178cc8bbf4e0978a662169656a288e82f8385",
+    "5,10": "9efd77be4da8a7756f9615d9bfa6d5dc938c2e36c4968345777d9d311e751739",
+    "6,0": "084c06f876399572b80df991f41e3e27ef9dff6244d531a4b9e8a5112ae54dba",
+    "6,1": "dff0f9145a49b6e8cefe99b47af0914f295ef7b5adbd91d686db4bd643751a50",
+    "6,2": "3eac46f6aa2bbe4aa5f8fcd0e59963d588e02619391f1967ca261ae195da0597",
+    "6,3": "cbe7b9b8f94d437412d7e06d43db7d7b191184ea7cdd2ff0ad0b2bbfdde33fa4",
+    "6,4": "2304b79969508e0bcb910fcf02acf7dec4d796581e722a226214bebad3a0f7f9",
+    "6,5": "188cf2821cf9d3761b25a458c130bbf4ce7fd61056b51eea51f667bb2ae1ad18",
+    "6,6": "8d1b355c6714b307bfe63c72635797e55f143914ec1fe5e38f31cfda807b714c",
+    "6,7": "4f91d271b5c8993d96da59b185db877c2b1a53a9938abe29abe44af7f8008350",
+    "6,8": "274d7875214d25bc4f0589a483ffb4cae0b0e43f09138623269adbcef2cf9863",
+    "6,9": "3f47446ed5af69fb7c6507a7dad32c43c0490ff8ab60d62474aaa3a5e4e1ed82",
+    "6,10": "c914595640cb5ceeff6d364abf9dfdd00af1d55b461ede3a379fe676aa52d044",
+    "6,11": "8436f0952c046e221f52865742f8400ddf8146c2893df341fb60631dd3ce3e01",
+    "6,12": "1af06057f573aaa6317d2c0fad252392da8355e09bdf7d4ece1c96adad12a364",
+    "6,13": "aa8e239d3b485065542e2dff6c6b9b7a493158cd51979627e6205c4ed8254482",
+    "6,14": "de7a55b504ecb48f31941cf3a054a9c8c1a70395345ee626fce282102e1f4473",
+    "6,15": "9ea83dd74043745f6482f6eb18bb80da3eee5efb5a4d7fb51bd6d53d9d1788e4",
     "7,0": "5c6dd5f456a1640d76d3c8ad7343fae1e56a4a98ac0bc5bb7cb0eeb44334599f",
     "7,1": "42649ba77a2767e8400888ab8a6fa0cdb8b8453214a81fe5574225564cdedd99",
     "7,2": "57e6d5bf6516be00f29ded9ffc8b06091e967419ac0372bb12e8725e5154eccb",
@@ -158,17 +201,62 @@ SCAN_PINS = {
     "7,19": "334a75c65d3b4b6ce5edaea20fd88b6657301e870b02301d60c77fc6604a963c",
     "7,20": "6d7172d2ab8490d3eb0f7d3ebf0164761e1f187def9be22aa57e527a3c51a848",
     "7,21": "015f01eb915f8846d307c31ed97f81415e21b53b98cd7d4172cc62762cc26ce3",
+    "8,0": "a4771f03140fb8f3014543c7c1dfc68ef0cc62ca43a0c6ecaab57ff43bb5f08c",
+    "8,1": "50d8a9c64abfdbd3d06626b2ca208927cb6193cd7dc5dac1b180b63063318853",
+    "8,2": "56116d953d9a2d1022efa994543ae47778c07d8b690ea772157006d1549465d5",
+    "8,3": "1206d35568ac28923aa879e6c43e8be7f9ef0d26c7685da2e4c90e619f1f608a",
+    "8,4": "1783e0741cbbe911dbd2e2c686f3771ea6911daaa5a34a77f97fb243826e9650",
+    "8,5": "4ace72881d47ecfcbfbf7c57c020c2084c485aafe76a8b669069c7160eb73499",
+    "8,6": "d61ebe5c724533fc48e21dad3f22a110a1b83f15d9a7221edb439067a09135ed",
     "8,7": "04e5a96300d77d34ca9e68e7d92c33eec21dab684e4e2d419d6bc3596941d0bb",
+    "8,8": "a1da6dcae52eeac7f60add19f22feaa8a8ae2226f6df3739d123354fa6110d67",
+    "8,9": "248930a4c9aa3d7afdcb330d11723b314c96f868fefeab630ac17fad90270b5b",
+    "8,10": "b8bcb8b2a1ff732a20b4d25b24d6c05b9a8b8b18d02b5cdbc285bfda3c9c9bbe",
+    "8,11": "1987125a7bdbdfd90c49144bab7c47c5c7fd85624d91640741e8d08c4d17cecd",
+    "8,12": "4fa4f612d0138cd36213a92bce72919919a6dca54e6b37908a39eb40a1fb17fc",
+    "8,13": "7ff154b1820587ffa0290430c8f07394001883cd49ee5fec783859e500db21e4",
+    "8,14": "514bb971dd0d404a5d56b26bd6eaf28a82f8ba91bb3f9d068056692524f0bd44",
+    "8,15": "0195f25f86d423e883a2f66c5fecc247e0845fd4c5d575bd1e11fe3883ed0938",
+    "8,16": "f3cfaa61c375561cb0e34947f039c25b861d9f2734e18c3ecf19263cbda08f25",
+    "8,17": "dbf36662f70bd4a38b4978bc4adf9e5e492bea74a19949caa8beee8bb4d72e2e",
+    "8,18": "c2e0795abe9e7b61dfbd7163fca44db4992e064b81aa8f846388ab137af46218",
+    "8,19": "12616b4cb3b5bad3f62f8698e2806c66868a781763b4b83d23a8fc9236efff2b",
+    "8,20": "6d4b3a549bce64aada601ab43df277e5194c1f763cbb5e96dd6d1b74b7114911",
     "8,21": "da6e66dc230ebc1ab19095c7db31fb5f91715010056bc8dd43821325bef7d95e",
+    "8,22": "15e45f4dc44f04cc55f0ea1566d32ee815678c3b025613c4ddf16a00b4819897",
+    "8,23": "a02b6735802eb9883394962624ede064421a3111ca2160f2edbd455c7b8f94c7",
+    "8,24": "8943b9a10fd3fbfdf78e98c5484e770f8d7616d862b27b4a7b70454dfc461649",
+    "8,25": "0b5cf93b634514388669227ac333eb88ada36c9b734d31a911bb327f1771e8f6",
+    "8,26": "460286025144f8111946eb3a8d6e0668b404f2a46140a9e21f47b9ec0dd0af0b",
+    "8,27": "7f0788f54b7275c8d26d93d1bdf659eef438879b2f08b1f413e23afa560f1cfe",
+    "8,28": "a109618ea9e50aa826a07b7e922bc62d8599ae7475c903e0ef4ceacb91864e6a",
 }
+
+
+def _digest(record) -> str:
+    blob = json.dumps(record.to_json_dict(), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("ascii")).hexdigest()
 
 
 def test_extremal_scan_golden_pins():
     for key, digest in SCAN_PINS.items():
         n, e = map(int, key.split(","))
-        record = bt.extremal_scan(n, e, threads=2)
-        blob = json.dumps(record.to_json_dict(), sort_keys=True, separators=(",", ":"))
-        assert hashlib.sha256(blob.encode("ascii")).hexdigest() == digest, key
+        assert _digest(bt.extremal_scan(n, e, threads=2)) == digest, key
+
+
+def test_extremal_scan_witnesses_are_canonical():
+    # the scan skips every graph whose vertex 0 is not a max-degree vertex
+    # adjacent to exactly 1..d; each witness must be such a graph, and the
+    # one-thread records must match the same pins
+    for key, digest in SCAN_PINS.items():
+        n, e = map(int, key.split(","))
+        record = bt.extremal_scan(n, e)
+        assert _digest(record) == digest, key
+        for w in record.witnesses:
+            adj = bt.from_graph6(w).adj
+            d = adj[0].bit_count()
+            assert max(row.bit_count() for row in adj) == d, (key, w)
+            assert adj[0] == (1 << d + 1) - 2, (key, w)
 
 
 def test_scan_guard():
