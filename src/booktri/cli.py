@@ -131,19 +131,6 @@ def _dump(d: dict, fmt: str, out: str | None) -> None:
         _emit(_kv_csv(d), out)
 
 
-def _threads(args) -> int:
-    requested = args.threads
-    if requested is None:
-        env = os.environ.get("BOOKTRI_THREADS")
-        if not env:
-            return 1
-        try:
-            requested = int(env)
-        except ValueError:
-            raise _UsageError(f"bad BOOKTRI_THREADS value {env!r}")
-    return requested
-
-
 def _cmd_analyze(args) -> int:
     g = _load_graph(args.input)
     _dump(analyze_report(g), args.format, args.out)
@@ -170,7 +157,7 @@ def _cmd_construct(args) -> int:
 
 def _cmd_frontier(args) -> int:
     if args.mode == "exhaustive":
-        record = extremal_scan(args.n, args.e, threads=_threads(args))
+        record = extremal_scan(args.n, args.e)
     else:
         if args.seed is None:
             raise _UsageError("frontier --mode anneal requires --seed")
@@ -257,8 +244,6 @@ def _build_parser() -> _Parser:
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--e", type=int, required=True)
     sp.add_argument("--mode", choices=("exhaustive", "anneal"), required=True)
-    sp.add_argument("--threads", type=int, default=None,
-                    help="threads for exhaustive scans (or BOOKTRI_THREADS)")
     sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--book-cap", type=int, default=None,
                     help="strict upper bound on the largest book (anneal)")

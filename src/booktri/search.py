@@ -6,13 +6,15 @@ one witness per frontier point: the first graph achieving it in lexicographic
 order of the edge subset, i.e. the largest edge mask.  The top n-1 mask bits
 spell N(0), so relabelling a max-degree vertex to 0 and its neighbours to
 1..d makes them 1^d 0^(n-1-d), a larger mask unless N(0) was {1..d}.  So a
-witness has N(0) = {1..d}, d its maximum degree, and the scan examines only
-the high half-masks whose top n-1 bits read 1^d 0^(n-1-d) (the prefix cut)
-and in which no vertex has more than d neighbours yet (the degree cut); the
-first step of orderly generation (Read 1978; McKay 1998).  It is one numpy
-kernel over blocks of edge masks, which reads each edge's presence off the
-half-mask holding its bit.  One worker runs on the calling thread and more
-share a thread pool; the record does not depend on the thread count.
+witness has N(0) = {1..d}, d its maximum degree.  Permuting {2..d} and
+{d+1..n-1} within themselves keeps that and fixes vertex 1, and the next
+n-2 bits, the slots (1,2)..(1,n-1), then read largest when N(1) meets each
+range in a prefix, {2..k} and {d+1..j}; so a witness does that too.  The
+scan examines only the high half-masks that fit both (the prefix cuts) and
+in which no vertex has more than d neighbours yet (the degree cut): the
+first steps of orderly generation (Read 1978; McKay 1998).  It is one numpy
+kernel over blocks of edge masks on the calling thread, which reads each
+edge's presence off the half-mask holding its bit.
 
 Annealing walks the same fixed-edge-count space with single edge swaps,
 rejecting any state whose largest book reaches the cap, and reports the best
@@ -36,9 +38,6 @@ fits the cap and needs no domain rules of its own.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
@@ -62,7 +61,7 @@ from .graph import Graph
 EXHAUSTIVE_VERTEX_LIMIT = 8
 RNG_ALGORITHM = "numpy-pcg64"
 
-_BLOCK = 1 << 18  # graphs per scan block; bounds the memory of each thread
+_BLOCK = 1 << 18  # graphs per scan block; bounds the memory of a block
 
 
 # -- edge-slot geometry ----------------------------------------------------
@@ -85,14 +84,6 @@ def _guard(n: int, e: int) -> int:
     if not 0 <= e <= slots:
         raise ParameterError(f"edge count {e} outside 0..{slots} for n={n}")
     return slots
-
-
-def clamp_workers(requested: int, cpus: int | None, jobs: int | None = None) -> int:
-    """Worker count clamped to [1, min(cpus, jobs)]; unknown cpus count as 1."""
-    top = cpus or 1
-    if jobs is not None:
-        top = min(top, jobs)
-    return max(1, min(requested, top))
 
 
 # -- frontier record ---------------------------------------------------------
@@ -165,7 +156,12 @@ def _half(n: int, slots: int, shift: int, width: int):
     Slot i of edge_slots(n) sits at mask bit slots-1-i, so lexicographic
     order of edge subsets is descending mask order (Knuth, TAOCP 4A
     7.2.1.3).  The top half (shift + width == slots) holds the slots
-    (0, v) and lists only the half-masks that pass both cuts.
+    (0, v), then as many of the slots (1, v) as fit, and lists only the
+    half-masks that pass the prefix and degree cuts (module docstring).
+    Its rows give N(0) whole and N(1) with the low half's slots read as
+    absent; a witness's N(1) still meets {2..d} and {d+1..n-1} in prefixes
+    once the slots past the top half are dropped, so the cuts are sound at
+    any n.
     """
     table = edge_slots(n)
     masks = np.arange(1 << width, dtype=np.uint32)
@@ -176,10 +172,14 @@ def _half(n: int, slots: int, shift: int, width: int):
         rows[u] |= bit << v
         rows[v] |= bit << u
     pops = np.bitwise_count(masks)
-    if shift + width == slots:
-        top = masks >> (width - (n - 1))  # N(0), bit (0,1) first
-        comp = ~top & ((1 << (n - 1)) - 1)  # 0^d 1^(n-1-d) iff N(0) = {1..d}
-        keep = (comp & (comp + 1) == 0) & (np.bitwise_count(rows).max(0) <= np.bitwise_count(top))
+    if n > 1 and shift + width == slots:  # n = 1 has no vertex 1 and one graph
+        n0, n1 = rows[:2].astype(np.uint32)
+        d = np.bitwise_count(n0)
+        # each set, shifted to its range's first vertex, must read 2^k - 1
+        runs = (n0 >> 1, (n0 & n1) >> 2, n1 >> d + 1)  # N(0), N(1) in {2..d}, in {d+1..}
+        keep = np.bitwise_count(rows).max(0) <= d  # the degree cut
+        for x in runs:
+            keep &= x & (x + 1) == 0
         masks, pops = masks[keep], pops[keep]
     by_pop = tuple(masks[pops == k][::-1] for k in range(width + 1))
     for a in (*by_pop, rows):
@@ -192,20 +192,20 @@ def extremal_scan(n: int, e: int, threads: int = 1) -> FrontierRecord:
     with n vertices and e edges.
 
     Only the high halves past the prefix and degree cuts are examined, so
-    only graphs whose vertex 0 is a max-degree vertex adjacent to 1..d; they
-    hold every pair's witness (module docstring), and `scanned` stays
-    C(slots, e), the graphs covered.  Each e-edge mask is a
-    high half OR a low half.  A block pairs a slice of the high halves of
-    popcount h with every low half of popcount e-h, both in descending
-    order, so the block itself is in rank order.  Codegrees come from
-    popcounts of ANDed vertex rows; an edge slot is one bit of the high or
-    the low half-mask, so its presence is a column taken from the block's
-    high halves or a row taken from its low halves.  Each block keeps its
-    first graph per pair of its local Pareto set as its (high, low) halves,
-    and merging keeps the largest pair, i.e. the largest mask and lowest
-    rank.  A witness's rows are its halves' table rows ORed.  One worker
-    scans the blocks on the calling thread, more share a thread pool; the
-    record is identical for any thread count.
+    only graphs whose vertex 0 is a max-degree vertex adjacent to 1..d and
+    whose vertex 1 meets {2..d} and {d+1..n-1} in prefixes; they hold every
+    pair's witness (module docstring), and `scanned` stays C(slots, e), the
+    graphs covered.  Each e-edge mask is a high half OR a low half.  A block
+    pairs a slice of the high halves of popcount h with every low half of
+    popcount e-h, both in descending order, so the block itself is in rank
+    order.  Codegrees come from popcounts of ANDed vertex rows; an edge slot
+    is one bit of the high or the low half-mask, so its presence is a column
+    taken from the block's high halves or a row taken from its low halves.
+    Each block keeps its first graph per pair of its local Pareto set as its
+    (high, low) halves, and merging keeps the largest pair, i.e. the largest
+    mask and lowest rank.  A witness's rows are its halves' table rows ORed.
+    The blocks run one after another on the calling thread; `threads` is
+    accepted and ignored, so callers that pass it keep working.
     """
     slots = _guard(n, e)
     low = slots // 2
@@ -213,44 +213,35 @@ def extremal_scan(n: int, e: int, threads: int = 1) -> FrontierRecord:
     lo_masks, lo_rows = _half(n, slots, 0, low)
     edges = edge_slots(n)
 
-    jobs = []
+    best: dict[tuple[int, int], tuple[int, int]] = {}
     for h in range(max(0, e - low), min(e, slots - low) + 1):
-        his, los = hi_masks[h], lo_masks[e - h]
-        step = max(1, _BLOCK // los.size)
-        jobs.extend((his[i : i + step], los) for i in range(0, his.size, step))
-
-    def scan_block(job) -> dict[tuple[int, int], tuple[int, int]]:
-        his, los = job
-        rows = hi_rows[:, his][:, :, None] | lo_rows[:, los][:, None, :]
+        his_h, los = hi_masks[h], lo_masks[e - h]
         # has[j] is 1 where mask bit j is set: a (1, L) row of the low halves
         # for j < low, else an (H, 1) column of the high halves
         lo_has = ((los >> np.arange(low, dtype=np.uint32)[:, None]) & 1).astype(np.uint8)
-        hi_has = ((his >> np.arange(slots - low, dtype=np.uint32)[:, None]) & 1).astype(np.uint8)
-        has = [*lo_has[:, None, :], *hi_has[:, :, None]]
-        tri3 = np.zeros(rows.shape[1:], dtype=np.uint8)  # n <= 8: 3t <= 168
-        book = np.zeros_like(tri3)
-        c = np.empty_like(tri3)
-        for (u, v), held in zip(edges, reversed(has)):  # slot i is bit slots-1-i
-            np.bitwise_and(rows[u], rows[v], out=c)
-            np.bitwise_count(c, out=c)
-            np.multiply(c, held, out=c)
-            np.add(tri3, c, out=tri3)
-            np.maximum(book, c, out=book)
-        key = (book.astype(np.uint16) << 8 | tri3).ravel()
-        present = np.flatnonzero(np.bincount(key)).tolist()
-        found = {(k >> 8, (k & 255) // 3): k for k in present}
-        out = {}
-        for pair in pareto_min(found):
-            row, col = divmod(int(np.argmax(key == found[pair])), los.size)
-            out[pair] = (int(his[row]), int(los[col]))
-        return out
-
-    best: dict[tuple[int, int], tuple[int, int]] = {}
-    workers = clamp_workers(threads, os.cpu_count(), len(jobs))
-    # one worker maps on the calling thread, with no pool thread to hand off to
-    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
-        for part in (pool.map if pool else map)(scan_block, jobs):
-            for pair, halves in part.items():
+        lo_part = lo_rows[:, los][:, None, :]
+        step = max(1, _BLOCK // los.size)
+        for i in range(0, his_h.size, step):
+            his = his_h[i : i + step]
+            rows = hi_rows[:, his][:, :, None] | lo_part
+            hi_has = (his >> np.arange(slots - low, dtype=np.uint32)[:, None]) & 1
+            has = [*lo_has[:, None, :], *hi_has.astype(np.uint8)[:, :, None]]
+            tri3 = np.zeros(rows.shape[1:], dtype=np.uint8)  # n <= 8: 3t <= 168
+            book = np.zeros_like(tri3)
+            c = np.empty_like(tri3)
+            for (u, v), held in zip(edges, reversed(has)):  # slot i is bit slots-1-i
+                np.bitwise_and(rows[u], rows[v], out=c)
+                np.bitwise_count(c, out=c)
+                np.multiply(c, held, out=c)
+                np.add(tri3, c, out=tri3)
+                np.maximum(book, c, out=book)
+            key = (book.astype(np.uint16) << 8 | tri3).ravel()
+            present = np.flatnonzero(np.bincount(key)).tolist()
+            found = {(k >> 8, (k & 255) // 3): k for k in present}
+            # the block's first graph per pair of its own Pareto set
+            for pair in pareto_min(found):
+                row, col = divmod(int(np.argmax(key == found[pair])), los.size)
+                halves = (int(his[row]), int(los[col]))
                 best[pair] = max(halves, best.get(pair, halves))
 
     def witness(hi: int, lo: int) -> str:

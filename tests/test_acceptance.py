@@ -7,7 +7,6 @@ with rational arithmetic, never floats.
 """
 
 import json
-import os
 import random
 import sys
 from fractions import Fraction
@@ -24,8 +23,6 @@ from conftest import (
     sharp_split_exists,
 )
 
-THREADS = min(2, os.cpu_count() or 1)
-
 
 def _line(num, name, ok, detail=""):
     tag = "PASS" if ok else "FAIL"
@@ -40,7 +37,7 @@ def threshold_scans():
     scans = {}
     for n in range(4, 9):
         e = n * n // 4 + 1
-        scans[n] = bt.extremal_scan(n, e, threads=THREADS if n == 8 else 1)
+        scans[n] = bt.extremal_scan(n, e)
     return scans
 
 

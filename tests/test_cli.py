@@ -293,7 +293,6 @@ def _search_argv(draw):
     e = draw(st.sampled_from([-1, 0, 1, 7, 10, 37, 145, 401]))
     return (
         ["frontier", "--n", str(n), "--e", str(e), "--mode", mode]
-        + draw(_flag("threads", st.sampled_from([-1, 0, 1, 2])))
         + draw(seed)
         + draw(_flag("book-cap", st.integers(-2, 12)))
         + draw(budget)
@@ -487,24 +486,19 @@ def test_frontier_anneal_reproducible(tmp_path):
     assert record["mode"] == "heuristic" and record["rng"] == "numpy-pcg64"
 
 
-def test_frontier_threads_pass_through(tmp_path, monkeypatch):
-    # the CLI hands --threads to extremal_scan unclamped; the scan owns the clamp
-    monkeypatch.delenv("BOOKTRI_THREADS", raising=False)
-    records = {}
-    for threads in ("1", "0", "-5", "2"):
-        out = tmp_path / f"rec{threads}.json"
-        assert main(["frontier", "--n", "6", "--e", "10", "--mode", "exhaustive",
-                     f"--threads={threads}", "--out", str(out)]) == 0
-        records[threads] = out.read_bytes()
-    assert all(blob == records["1"] for blob in records.values())
-
-
-def test_frontier_threads_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("BOOKTRI_THREADS", "2")
-    out = tmp_path / "rec.json"
-    assert main(["frontier", "--n", "6", "--e", "10", "--mode", "exhaustive",
-                 "--out", str(out)]) == 0
-    assert json.loads(out.read_text())["min_t"] == 3
+def test_frontier_threads_is_a_usage_error(capsys, monkeypatch):
+    # the scan runs on one thread: --threads is gone and BOOKTRI_THREADS is
+    # not read, even when it holds no number
+    argv = ["frontier", "--n", "6", "--e", "10", "--mode", "exhaustive"]
+    assert main(argv + ["--threads", "2"]) == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    usage, _, last = err.rstrip("\n").rpartition("\n")
+    assert out == "" and "Traceback" not in err
+    assert usage.startswith("usage: booktri ")
+    assert last == "error: unrecognized arguments: --threads 2"
+    monkeypatch.setenv("BOOKTRI_THREADS", "many")
+    assert main(argv) == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)["min_t"] == 3
 
 
 def test_sweep_requires_seed(capsys):
