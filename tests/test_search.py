@@ -106,13 +106,15 @@ def test_extremal_scan_thread_invariant():
 
 
 @pytest.mark.parametrize("block", [1, 3, 64])
-def test_extremal_scan_block_invariant(monkeypatch, block):
+@pytest.mark.parametrize("threads", [1, 2])
+def test_extremal_scan_block_invariant(monkeypatch, block, threads):
     # small blocks split every popcount class into many blocks, so each
-    # block's edge presence must come from its own slice of the half-masks
+    # block's edge presence must come from its own slice of the half-masks;
+    # neither the block size nor the ignored `threads` may change a record
     default = {ne: bt.extremal_scan(*ne) for ne in [(6, 10), (7, 13), (8, 7), (8, 21)]}
     monkeypatch.setattr(bt.search, "_BLOCK", block)
     for ne, want in default.items():
-        got = bt.extremal_scan(*ne)
+        got = bt.extremal_scan(*ne, threads=threads)
         assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict())
         assert got.to_csv() == want.to_csv()
 
@@ -237,6 +239,14 @@ SCAN_PINS = {
 def _digest(record) -> str:
     blob = json.dumps(record.to_json_dict(), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("ascii")).hexdigest()
+
+
+def test_extremal_scan_golden_pins():
+    # the pins were taken from the scan before any cut; `threads` is
+    # accepted and ignored, so the records must match them with it set
+    for key, digest in SCAN_PINS.items():
+        n, e = map(int, key.split(","))
+        assert _digest(bt.extremal_scan(n, e, threads=2)) == digest, key
 
 
 def test_extremal_scan_witnesses_are_canonical():
