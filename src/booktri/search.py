@@ -12,9 +12,9 @@ n-2 bits, the slots (1,2)..(1,n-1), then read largest when N(1) meets each
 range in a prefix, {2..k} and {d+1..j}; so a witness does that too.  The
 scan examines only the high half-masks that fit both (the prefix cuts) and
 in which no vertex has more than d neighbours yet (the degree cut): the
-first steps of orderly generation (Read 1978; McKay 1998).  It is one numpy
-kernel over blocks of edge masks on the calling thread, which reads each
-edge's presence off the half-mask holding its bit.
+first steps of orderly generation (Read 1978; McKay 1998).  It makes one
+numpy pass per block of edge masks on the calling thread, over every edge
+slot at once, and reads each edge's presence off the graph's own rows.
 
 Annealing walks the same fixed-edge-count space with single edge swaps,
 rejecting any state whose largest book reaches the cap, and reports the best
@@ -61,7 +61,9 @@ from .graph import Graph
 EXHAUSTIVE_VERTEX_LIMIT = 8
 RNG_ALGORITHM = "numpy-pcg64"
 
-_BLOCK = 1 << 18  # graphs per scan block; bounds the memory of a block
+# graphs per scan block, which may span popcount classes: it bounds the
+# scan's memory, and a block this small keeps its arrays in cache
+_BLOCK = 1 << 13
 
 
 # -- edge-slot geometry ----------------------------------------------------
@@ -150,7 +152,8 @@ class FrontierRecord:
 @cache
 def _half(n: int, slots: int, shift: int, width: int):
     """Tables for mask bits shift..shift+width-1: the half-masks of each
-    popcount in descending order, and the n vertex rows each half-mask sets.
+    popcount in descending order, and for each half-mask the vertex rows it
+    sets, packed into one uint64 word whose byte u is row u (n <= 8).
     Built once per argument tuple and read-only.
 
     Slot i of edge_slots(n) sits at mask bit slots-1-i, so lexicographic
@@ -165,7 +168,7 @@ def _half(n: int, slots: int, shift: int, width: int):
     """
     table = edge_slots(n)
     masks = np.arange(1 << width, dtype=np.uint32)
-    rows = np.zeros((n, masks.size), dtype=np.uint8)
+    rows = np.zeros((8, masks.size), dtype=np.uint8)
     for j in range(width):
         bit = ((masks >> j) & 1).astype(np.uint8)
         u, v = table[slots - 1 - shift - j]
@@ -182,9 +185,10 @@ def _half(n: int, slots: int, shift: int, width: int):
             keep &= x & (x + 1) == 0
         masks, pops = masks[keep], pops[keep]
     by_pop = tuple(masks[pops == k][::-1] for k in range(width + 1))
-    for a in (*by_pop, rows):
+    words = np.ascontiguousarray(rows.T).view(np.uint64).ravel()
+    for a in (*by_pop, words):
         a.flags.writeable = False
-    return by_pop, rows
+    return by_pop, words
 
 
 def extremal_scan(n: int, e: int, threads: int = 1) -> FrontierRecord:
@@ -195,62 +199,73 @@ def extremal_scan(n: int, e: int, threads: int = 1) -> FrontierRecord:
     only graphs whose vertex 0 is a max-degree vertex adjacent to 1..d and
     whose vertex 1 meets {2..d} and {d+1..n-1} in prefixes; they hold every
     pair's witness (module docstring), and `scanned` stays C(slots, e), the
-    graphs covered.  Each e-edge mask is a high half OR a low half.  A block
-    pairs a slice of the high halves of popcount h with every low half of
-    popcount e-h, both in descending order, so the block itself is in rank
-    order.  Codegrees come from popcounts of ANDed vertex rows; an edge slot
-    is one bit of the high or the low half-mask, so its presence is a column
-    taken from the block's high halves or a row taken from its low halves.
-    Each block keeps its first graph per pair of its local Pareto set as its
-    (high, low) halves, and merging keeps the largest pair, i.e. the largest
-    mask and lowest rank.  A witness's rows are its halves' table rows ORed.
-    The blocks run one after another on the calling thread; `threads` is
-    accepted and ignored, so callers that pass it keep working.
+    graphs covered.  Each e-edge mask is a high half OR a low half.  Walking
+    the popcount classes h in order, each slice of the high halves of
+    popcount h is paired with every low half of popcount e-h, and slices are
+    buffered and flushed as one block before the next would pass _BLOCK
+    graphs (one slice may, if its low class is larger), so a block may span
+    classes and memory follows _BLOCK, not the graphs examined.  One numpy
+    pass over every slot (u, v) of a block takes the codegree, the popcount
+    of rows u and v ANDed, times the presence bit v of row u.  A block that
+    spans classes is not in rank order, so it keeps the largest mask of each
+    pair of its local Pareto set, and merging keeps the largest, i.e. the
+    lowest rank.  `threads` is accepted and ignored, so callers that pass
+    it keep working.
     """
     slots = _guard(n, e)
     low = slots // 2
-    hi_masks, hi_rows = _half(n, slots, low, slots - low)
-    lo_masks, lo_rows = _half(n, slots, 0, low)
-    edges = edge_slots(n)
+    hi_masks, hi_words = _half(n, slots, low, slots - low)
+    lo_masks, lo_words = _half(n, slots, 0, low)
+    us, vs = np.array(edge_slots(n), dtype=np.uint8).reshape(-1, 2).T
 
-    best: dict[tuple[int, int], tuple[int, int]] = {}
+    best: dict[tuple[int, int], int] = {}  # pair -> largest mask seen
+    # (slots, graphs) arrays reused by every block: fresh ones cost page faults
+    bufs = np.empty((2, us.size * max(_BLOCK, *map(len, lo_masks))), np.uint8)
+
+    def scan_block(his: np.ndarray, los: np.ndarray) -> None:
+        words = np.take(hi_words, his) | np.take(lo_words, los)
+        rows = np.ascontiguousarray(words.view(np.uint8).reshape(-1, 8).T)
+        held, c = bufs[:, : us.size * his.size].reshape(2, us.size, his.size)
+        rows.take(us, 0, held, "clip")  # "clip" fills out unbuffered; indices < 8
+        rows.take(vs, 0, c, "clip")
+        np.bitwise_and(c, held, out=c)
+        np.bitwise_count(c, out=c)  # codegree of every slot
+        np.right_shift(held, vs[:, None], out=held)
+        np.bitwise_and(held, 1, out=held)  # the slot's presence bit
+        np.multiply(c, held, out=c)
+        tri3 = c.sum(0, dtype=np.uint8)  # n <= 8: 3t <= 168
+        book = c.max(0, initial=0)
+        key = book.astype(np.uint16) << 8 | tri3
+        present = np.flatnonzero(np.bincount(key)).tolist()
+        found = {(k >> 8, (k & 255) // 3): k for k in present}
+        masks = his << low | los
+        # the block's largest mask per pair of its own Pareto set
+        for pair in pareto_min(found):
+            mask = int(masks.max(where=key == found[pair], initial=0))
+            best[pair] = max(mask, best.get(pair, mask))
+
+    block: list[tuple[np.ndarray, np.ndarray]] = []
+    size = 0
     for h in range(max(0, e - low), min(e, slots - low) + 1):
         his_h, los = hi_masks[h], lo_masks[e - h]
-        # has[j] is 1 where mask bit j is set: a (1, L) row of the low halves
-        # for j < low, else an (H, 1) column of the high halves
-        lo_has = ((los >> np.arange(low, dtype=np.uint32)[:, None]) & 1).astype(np.uint8)
-        lo_part = lo_rows[:, los][:, None, :]
         step = max(1, _BLOCK // los.size)
         for i in range(0, his_h.size, step):
             his = his_h[i : i + step]
-            rows = hi_rows[:, his][:, :, None] | lo_part
-            hi_has = (his >> np.arange(slots - low, dtype=np.uint32)[:, None]) & 1
-            has = [*lo_has[:, None, :], *hi_has.astype(np.uint8)[:, :, None]]
-            tri3 = np.zeros(rows.shape[1:], dtype=np.uint8)  # n <= 8: 3t <= 168
-            book = np.zeros_like(tri3)
-            c = np.empty_like(tri3)
-            for (u, v), held in zip(edges, reversed(has)):  # slot i is bit slots-1-i
-                np.bitwise_and(rows[u], rows[v], out=c)
-                np.bitwise_count(c, out=c)
-                np.multiply(c, held, out=c)
-                np.add(tri3, c, out=tri3)
-                np.maximum(book, c, out=book)
-            key = (book.astype(np.uint16) << 8 | tri3).ravel()
-            present = np.flatnonzero(np.bincount(key)).tolist()
-            found = {(k >> 8, (k & 255) // 3): k for k in present}
-            # the block's first graph per pair of its own Pareto set
-            for pair in pareto_min(found):
-                row, col = divmod(int(np.argmax(key == found[pair])), los.size)
-                halves = (int(his[row]), int(los[col]))
-                best[pair] = max(halves, best.get(pair, halves))
+            if size + his.size * los.size > _BLOCK and block:
+                scan_block(*map(np.concatenate, zip(*block)))
+                block, size = [], 0
+            block.append((np.repeat(his, los.size), np.tile(los, his.size)))
+            size += his.size * los.size
+    scan_block(*map(np.concatenate, zip(*block)))
 
-    def witness(hi: int, lo: int) -> str:
+    def witness(mask: int) -> str:
         g = Graph(n)
-        g.adj = (hi_rows[:, hi] | lo_rows[:, lo]).tolist()
+        word = hi_words[mask >> low] | lo_words[mask & (1 << low) - 1]
+        g.adj = list(word.tobytes()[:n])
         return to_graph6(g)
 
     frontier = pareto_min(best)
-    witnesses = [witness(*best[p]) for p in frontier]
+    witnesses = [witness(best[p]) for p in frontier]
     return FrontierRecord(
         n=n,
         e=e,

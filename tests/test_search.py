@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -105,18 +106,36 @@ def test_extremal_scan_thread_invariant():
     assert json.dumps(a.to_json_dict()) == json.dumps(b.to_json_dict())
 
 
-@pytest.mark.parametrize("block", [1, 3, 64])
+@pytest.mark.parametrize("block", [1, 3, 64, 1 << 20])
 @pytest.mark.parametrize("threads", [1, 2])
 def test_extremal_scan_block_invariant(monkeypatch, block, threads):
-    # small blocks split every popcount class into many blocks, so each
-    # block's edge presence must come from its own slice of the half-masks;
-    # neither the block size nor the ignored `threads` may change a record
-    default = {ne: bt.extremal_scan(*ne) for ne in [(6, 10), (7, 13), (8, 7), (8, 21)]}
+    # small blocks split every popcount class into many blocks, and a block
+    # above any scan's size holds every class in one, so a pair's witness
+    # must be its largest mask whichever classes share its block; neither
+    # the block size nor the ignored `threads` may change a record.  (8, 14)
+    # examines 199,282 graphs over 15 classes.
+    scans = [(6, 10), (7, 13), (8, 7), (8, 14), (8, 21)]
+    default = {ne: bt.extremal_scan(*ne) for ne in scans}
     monkeypatch.setattr(bt.search, "_BLOCK", block)
     for ne, want in default.items():
         got = bt.extremal_scan(*ne, threads=threads)
         assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict())
         assert got.to_csv() == want.to_csv()
+
+
+def test_extremal_scan_memory_is_bounded_by_block(monkeypatch):
+    # a block holds at most _BLOCK graphs (or one high half's low halves),
+    # so the scan's peak memory follows the block size, not the 199,282
+    # graphs that (8, 14) examines
+    monkeypatch.setattr(bt.search, "_BLOCK", 1024)
+    bt.extremal_scan(8, 14)  # builds the cached half-mask tables
+    tracemalloc.start()
+    try:
+        bt.extremal_scan(8, 14)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 def test_witnesses_reverify():
