@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .analytics import find_triangle
-from .errors import NotTriangleFreeError
+from .errors import NotTriangleFreeError, ParameterError
 from .graph import Graph, _bits
 
 
@@ -32,6 +32,8 @@ class Partition:
 
     @classmethod
     def from_mask(cls, g: Graph, y_mask: int) -> "Partition":
+        if not 0 <= y_mask < 1 << g.n:
+            raise ParameterError(f"side mask {y_mask} outside 0..2^{g.n}-1")
         internal = _inside(g, y_mask) + _inside(g, ((1 << g.n) - 1) ^ y_mask)
         return cls(
             n=g.n,
@@ -162,8 +164,11 @@ def local_max_cut(g: Graph, seed: Partition | None = None) -> Partition:
     cross_edges by at least 1, so there are at most m improving passes,
     which an assertion checks.  Each pass also sums the degrees (2m) and the
     cross neighbors; the last pass moves nothing, so its sums are the final
-    counts.  Defaults to the all-X start.
+    counts.  Defaults to the all-X start; a seed must be a split of g's
+    own vertices.
     """
+    if seed is not None and (seed.n != g.n or not 0 <= seed.y_mask < 1 << g.n):
+        raise ParameterError(f"seed n={seed.n}, y_mask={seed.y_mask} does not split {g.n} vertices")
     y_mask = seed.y_mask if seed is not None else 0
     full = (1 << g.n) - 1
     improving_passes = 0

@@ -18,17 +18,17 @@ slot at once, and reads each edge's presence off the graph's own rows.
 
 Annealing walks the same fixed-edge-count space with single edge swaps,
 rejecting any state whose largest book reaches the cap, and reports the best
-feasible states seen.  It keeps the book of every present edge, a histogram
-of book sizes and the current (t, b), and updates them along the common
-neighbourhoods of the swapped edges, so a proposal costs O(codegree), not
-O(m).  Its draws are numpy's: the values Generator.integers and random()
-give on the seeded PCG64 stream (numpy >= 2.0).  A swap keeps both pool
-sizes, so every draw has one of two fixed bounds, and each chunk of raw
-words is decoded once in numpy into lists of each half's bounded draw and
-each word's uniform.  A proposal reads its pair by index: both halves of
-one word (aligned), or the buffered half of the last word and the next
-word's low half (shifted).  Heuristic results are empirical upper bounds
-on the true minimum, never proofs.
+feasible states seen.  It keeps the rows, a histogram of book sizes and the
+current (t, b), reads each book it needs off two rows, and moves the
+histogram along the common neighbourhoods of the swapped edges, so a
+proposal costs O(codegree), not O(m).  Its draws are numpy's: the values
+Generator.integers and random() give on the seeded PCG64 stream (numpy >=
+2.0).  A swap keeps both pool sizes, so every draw has one of two fixed
+bounds, and each chunk of raw words is decoded once in numpy into lists of
+each half's bounded draw and each word's uniform.  A proposal reads its
+pair by index: both halves of one word (aligned), or the buffered half of
+the last word and the next word's low half (shifted).  Heuristic results
+are empirical upper bounds on the true minimum, never proofs.
 
 The alpha sweep tries every extremal family at each alpha.  Each family
 refuses the parameters outside its own domain, so the sweep keeps whatever
@@ -45,7 +45,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .analytics import _edge_codegrees
+from .analytics import _edge_codegrees, _t_and_b
 from .codec import to_graph6
 from .constructions import (
     ConstructionReport,
@@ -426,8 +426,8 @@ def anneal_min_triangles(n: int, e: int, params: AnnealParams) -> FrontierRecord
 
     A move removes one uniformly random present edge r and adds one
     uniformly random edge a absent from the pre-move state.  The walk keeps
-    the bitset rows, the book of every present edge, a histogram of book
-    sizes and the current (t, b).  A move changes t by the book of a after r
+    the bitset rows, a histogram of book sizes and the current (t, b), and
+    reads each book off two rows.  A move changes t by the book of a after r
     is gone minus the book of r, and only the edges in a triangle with r
     (one less) or with a (one more) change book, so a proposal costs
     O(codegree) rather than O(m); a rejected proposal changes no state.
@@ -456,8 +456,8 @@ def anneal_min_triangles(n: int, e: int, params: AnnealParams) -> FrontierRecord
         g = params.init.copy()
         if g.m != e:
             raise ParameterError(f"init has {g.m} edges, expected {e}")
-        eu, ev, ec = (x.tolist() for x in _edge_codegrees(g))
-        b = max(ec, default=0)
+        books = _edge_codegrees(g)[2]
+        b = int(books.max(initial=0))
         if b >= params.book_cap:
             raise ParameterError(f"init violates book cap: b={b} >= {params.book_cap}")
     else:
@@ -467,8 +467,8 @@ def anneal_min_triangles(n: int, e: int, params: AnnealParams) -> FrontierRecord
                 u, v = slots_list[i]
                 g.adj[u] |= 1 << v
                 g.adj[v] |= 1 << u
-            eu, ev, ec = (x.tolist() for x in _edge_codegrees(g))
-            if max(ec, default=0) < params.book_cap:
+            books = _edge_codegrees(g)[2]
+            if books.max(initial=0) < params.book_cap:
                 break
         else:
             raise ParameterError(
@@ -481,30 +481,24 @@ def anneal_min_triangles(n: int, e: int, params: AnnealParams) -> FrontierRecord
     for i, (u, v) in enumerate(slots_list):
         (present if adj[u] >> v & 1 else absent).append(i)
 
-    # book[u][v] is the book of edge (u, v) while it is present; hist[c]
-    # counts the present edges with book c
-    book = [[0] * n for _ in range(n)]
-    for u, v, c in zip(eu, ev, ec):
-        book[u][v] = book[v][u] = c
-    hist = np.bincount(ec, minlength=n).tolist()
-    cur_t = sum(ec) // 3
-    cur_b = max(ec, default=0)
+    # the book of a present edge (u, v) is (adj[u] & adj[v]).bit_count();
+    # hist[c] counts the present edges with book c
+    hist = np.bincount(books, minlength=n).tolist()
+    cur_t, cur_b = _t_and_b(books)
 
     def shift(x, y, mask, d) -> int:
-        """Add d to the books of (x, w) and (y, w) for w in mask; return the
-        largest new book."""
+        """The books of (x, w) and (y, w), w in mask, have just changed by d:
+        read each new book off the rows, move hist, return the largest."""
         hi = 0
+        ax, ay = adj[x], adj[y]
         while mask:
             low = mask & -mask
-            w = low.bit_length() - 1
-            bw = book[w]
-            for z in (x, y):
-                old = bw[z]
-                bw[z] = book[z][w] = old + d
-                hist[old] -= 1
-                hist[old + d] += 1
-                if old + d > hi:
-                    hi = old + d
+            aw = adj[low.bit_length() - 1]
+            for new in ((ax & aw).bit_count(), (ay & aw).bit_count()):
+                hist[new - d] -= 1
+                hist[new] += 1
+                if new > hi:
+                    hi = new
             mask ^= low
         return hi
 
@@ -521,10 +515,10 @@ def anneal_min_triangles(n: int, e: int, params: AnnealParams) -> FrontierRecord
 
     def any_at_top(x, mask) -> bool:
         """Whether some edge (x, w), w in mask, has book top."""
-        bx = book[x]
+        ax = adj[x]
         while mask:
             low = mask & -mask
-            if bx[low.bit_length() - 1] == top:
+            if (ax & adj[low.bit_length() - 1]).bit_count() == top:
                 return True
             mask ^= low
         return False
@@ -570,8 +564,8 @@ def anneal_min_triangles(n: int, e: int, params: AnnealParams) -> FrontierRecord
         # book and the books of (x, w), x in a, w in common, can grow, by one,
         # unless (x, w) also lost the triangle it shared with r
         feasible = c < cap
+        lost = adj[ru] & adj[rv] if feasible else 0  # r's book is its popcount
         if feasible and cur_b == top and common:
-            lost = adj[ru] & adj[rv]
             for x in (au, av):
                 gain = common
                 if (rem >> x) & 1:
@@ -584,7 +578,7 @@ def anneal_min_triangles(n: int, e: int, params: AnnealParams) -> FrontierRecord
 
         accept = False
         if feasible:
-            delta = c - book[ru][rv]
+            delta = c - lost.bit_count()
             if delta <= 0:
                 accept = True
             else:
@@ -598,14 +592,13 @@ def anneal_min_triangles(n: int, e: int, params: AnnealParams) -> FrontierRecord
             # each pool's last slot fills the hole, and the new slot goes last
             present[ri], present[-1] = present[-1], add_slot
             absent[ai], absent[-1] = absent[-1], rem_slot
-            hist[book[ru][rv]] -= 1
-            shift(ru, rv, adj[ru] & adj[rv], -1)
+            hist[c - delta] -= 1
             adj[ru] ^= 1 << rv
             adj[rv] ^= 1 << ru
+            shift(ru, rv, lost, -1)
             adj[au] |= 1 << av
             adj[av] |= 1 << au
             hi = max(c, shift(au, av, common, 1))
-            book[au][av] = book[av][au] = c
             hist[c] += 1
             cur_t += delta
             if hi > cur_b:

@@ -207,6 +207,21 @@ def test_partition_from_mask_counts():
     assert part.cross_edges + part.internal_edges == g.m
 
 
+def test_split_masks_must_fit_the_graph():
+    """A seed for another vertex count, or a mask with bits outside 0..n-1,
+    is refused rather than yielding sides with vertices the graph lacks."""
+    g = complete(4)
+    other = bt.Partition.from_mask(bt.complete_bipartite(4, 4), 0b11110011)
+    with pytest.raises(bt.ParameterError, match=r"^seed n=8, y_mask=243 does not split 4 vertices$"):
+        bt.local_max_cut(g, other)
+    for mask in (-4, 1 << 4, 0b110011):
+        with pytest.raises(bt.ParameterError, match=r"^side mask -?\d+ outside 0\.\.2\^4-1$"):
+            bt.Partition.from_mask(g, mask)
+        with pytest.raises(bt.ParameterError):
+            bt.local_max_cut(g, bt.Partition(4, mask, 0, 0))
+    assert bt.local_max_cut(g, bt.Partition.from_mask(g, 0b1111)).cross_edges == 4
+
+
 def test_local_max_cut_bipartite_optimum():
     g = bt.complete_bipartite(5, 5)
     seed = bt.Partition.from_mask(g, ((1 << 5) - 1) << 5)
