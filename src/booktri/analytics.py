@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyGraphError, LoopError, MissingEdgeError
-from .graph import Graph, _row_bits, _row_words
+from .graph import Graph, _row_bits
 
 _BLOCK = 128  # rows per Gram product block (a 128 x 1024 float32 block is 0.5 MB)
 
@@ -68,7 +68,7 @@ def book_size(g: Graph, u: int, v: int) -> int:
 def _codegree_chunks(g: Graph):
     """Every edge u < v in lexicographic order with its book size, one (u, v, c)
     per block of _BLOCK rows, computed lazily so a caller may stop early."""
-    bits = _row_bits(_row_words(g))
+    bits = _row_bits(g)
     a = bits.astype(np.float32)
     order = np.arange(g.n)
     for r in range(0, g.n, _BLOCK):

@@ -4,10 +4,10 @@ Adjacency rows are Python integers used as n-bit sets, so neighborhood
 intersections are a single ``&`` and common-neighbor counts a single
 ``int.bit_count()``.  The vertex cap keeps rows at a fixed small size
 (1024 bits = 16 machine words).  Whole-graph kernels convert all rows at
-once to packed words or a boolean matrix and back; the book kernel takes a
-float32 copy of that matrix, whose Gram product is exact while
-MAX_VERTICES < 2^24.  The rows are a graph's only state: the edge count is
-read off them, never stored beside them.
+once to a boolean matrix and back; the book kernel takes a float32 copy
+of that matrix, whose Gram product is exact while MAX_VERTICES < 2^24.
+The rows are a graph's only state: the edge count is read off them, never
+stored beside them.
 """
 
 from __future__ import annotations
@@ -113,18 +113,13 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-def _row_words(g: Graph) -> np.ndarray:
-    """Rows as an (n, ceil(n/64)) uint64 array: bit v of row u is bit v % 64
-    of word v // 64."""
+def _row_bits(g: Graph) -> np.ndarray:
+    """The (n, n) boolean adjacency matrix of g's rows: each row is packed
+    into ceil(n/64) little-endian words, then unpacked bit by bit."""
     width = 8 * ((g.n + 63) // 64)
     buf = b"".join([row.to_bytes(width, "little") for row in g.adj])
-    return np.frombuffer(buf, dtype="<u8").reshape(g.n, -1)
-
-
-def _row_bits(words: np.ndarray) -> np.ndarray:
-    """The (n, n) boolean adjacency matrix of ``_row_words`` output."""
-    bits = np.unpackbits(words.view(np.uint8), axis=1, count=len(words), bitorder="little")
-    return bits.view(bool)
+    rows = np.frombuffer(buf, dtype=np.uint8).reshape(g.n, -1)
+    return np.unpackbits(rows, axis=1, count=g.n, bitorder="little").view(bool)
 
 
 def _set_row_bits(g: Graph, bits: np.ndarray) -> Graph:

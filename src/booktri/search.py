@@ -18,17 +18,18 @@ slot at once, and reads each edge's presence off the graph's own rows.
 
 Annealing walks the same fixed-edge-count space with single edge swaps,
 rejecting any state whose largest book reaches the cap, and reports the best
-feasible states seen.  It keeps the rows, a histogram of book sizes and the
-current (t, b), reads each book it needs off two rows, and moves the
-histogram along the common neighbourhoods of the swapped edges, so a
-proposal costs O(codegree), not O(m).  Its draws are numpy's: the values
-Generator.integers and random() give on the seeded PCG64 stream (numpy >=
-2.0).  A swap keeps both pool sizes, so every draw has one of two fixed
-bounds, and each chunk of raw words is decoded once in numpy into lists of
-each half's bounded draw and each word's uniform.  A proposal reads its
-pair by index: both halves of one word (aligned), or the buffered half of
-the last word and the next word's low half (shifted).  Heuristic results
-are empirical upper bounds on the true minimum, never proofs.
+feasible states seen.  It keeps the rows, the present and absent (u, v)
+pairs, a histogram of book sizes and the current (t, b), reads each book it
+needs off two rows, and moves the histogram along the common neighbourhoods
+of the swapped edges, so a proposal costs O(codegree), not O(m).  Its
+draws are numpy's: the values Generator.integers and random() give on the
+seeded PCG64 stream (numpy >= 2.0).  A swap keeps both pool sizes, so every
+draw has one of two fixed bounds, and each chunk of raw words is decoded
+once in numpy into lists of each half's bounded draw and each word's
+uniform.  A proposal reads its two draws by index: both halves of one word
+(aligned), or the buffered half of the last word and the next word's low
+half (shifted).  Heuristic results are empirical upper bounds on the true
+minimum, never proofs.
 
 The alpha sweep tries every extremal family at each alpha.  Each family
 refuses the parameters outside its own domain, so the sweep keeps whatever
@@ -56,7 +57,7 @@ from .constructions import (
     theorem1_sharp,
 )
 from .errors import ExplosionGuardError, ParameterError
-from .graph import Graph
+from .graph import Graph, _row_bits, from_edge_list
 
 EXHAUSTIVE_VERTEX_LIMIT = 8
 RNG_ALGORITHM = "numpy-pcg64"
@@ -67,11 +68,6 @@ _BLOCK = 1 << 13
 
 
 # -- edge-slot geometry ----------------------------------------------------
-
-
-def edge_slots(n: int) -> list[tuple[int, int]]:
-    """Slot index -> (u, v) with u < v, lexicographic."""
-    return [(u, v) for u in range(n) for v in range(u + 1, n)]
 
 
 def _guard(n: int, e: int) -> int:
@@ -86,6 +82,15 @@ def _guard(n: int, e: int) -> int:
     if not 0 <= e <= slots:
         raise ParameterError(f"edge count {e} outside 0..{slots} for n={n}")
     return slots
+
+
+@cache
+def _slots(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Slot i's endpoints u < v, lexicographic, as read-only uint8 arrays
+    us and vs; the scan builds them only after _guard, so n <= 8."""
+    us, vs = (a.astype(np.uint8) for a in np.triu_indices(n, 1))
+    us.flags.writeable = vs.flags.writeable = False
+    return us, vs
 
 
 # -- frontier record ---------------------------------------------------------
@@ -156,7 +161,7 @@ def _half(n: int, slots: int, shift: int, width: int):
     sets, packed into one uint64 word whose byte u is row u (n <= 8).
     Built once per argument tuple and read-only.
 
-    Slot i of edge_slots(n) sits at mask bit slots-1-i, so lexicographic
+    Slot i of `_slots(n)` sits at mask bit slots-1-i, so lexicographic
     order of edge subsets is descending mask order (Knuth, TAOCP 4A
     7.2.1.3).  The top half (shift + width == slots) holds the slots
     (0, v), then as many of the slots (1, v) as fit, and lists only the
@@ -166,12 +171,12 @@ def _half(n: int, slots: int, shift: int, width: int):
     once the slots past the top half are dropped, so the cuts are sound at
     any n.
     """
-    table = edge_slots(n)
+    us, vs = _slots(n)
     masks = np.arange(1 << width, dtype=np.uint32)
     rows = np.zeros((8, masks.size), dtype=np.uint8)
     for j in range(width):
         bit = ((masks >> j) & 1).astype(np.uint8)
-        u, v = table[slots - 1 - shift - j]
+        u, v = us[slots - 1 - shift - j], vs[slots - 1 - shift - j]
         rows[u] |= bit << v
         rows[v] |= bit << u
     pops = np.bitwise_count(masks)
@@ -216,7 +221,7 @@ def extremal_scan(n: int, e: int, threads: int = 1) -> FrontierRecord:
     low = slots // 2
     hi_masks, hi_words = _half(n, slots, low, slots - low)
     lo_masks, lo_words = _half(n, slots, 0, low)
-    us, vs = np.array(edge_slots(n), dtype=np.uint8).reshape(-1, 2).T
+    us, vs = _slots(n)
 
     best: dict[tuple[int, int], int] = {}  # pair -> largest mask seen
     # (slots, graphs) arrays reused by every block: fresh ones cost page faults
@@ -438,14 +443,14 @@ def anneal_min_triangles(n: int, e: int, params: AnnealParams) -> FrontierRecord
     low and high half (aligned), or from the buffered high half and the
     next word's low half (shifted; most random starts leave one), and
     an uphill move's uniform from the next whole word, leaving the buffer
-    alone.  A half Lemire's method rejects, or a pool of one slot, takes
+    alone.  A half Lemire's method rejects, or a pool of one pair, takes
     numpy's exact scalar path instead.  The record carries the generator id,
     seed, and knobs.  The reported values are upper bounds for the capped
     minimum, not proofs.
     """
-    Graph(n)  # refuses n outside 1..MAX_VERTICES before the slot table is built
-    slots_list = edge_slots(n)
-    slots = len(slots_list)
+    Graph(n)  # refuses n outside 1..MAX_VERTICES before the slots are listed
+    us, vs = np.triu_indices(n, 1)  # slot i is (us[i], vs[i]), lexicographic
+    slots = us.size
     if not 0 <= e <= slots:
         raise ParameterError(f"edge count {e} outside 0..{slots} for n={n}")
     rng = np.random.Generator(np.random.PCG64(params.seed))
@@ -462,11 +467,8 @@ def anneal_min_triangles(n: int, e: int, params: AnnealParams) -> FrontierRecord
             raise ParameterError(f"init violates book cap: b={b} >= {params.book_cap}")
     else:
         for _ in range(200):
-            g = Graph(n)
-            for i in rng.choice(slots, size=e, replace=False).tolist():
-                u, v = slots_list[i]
-                g.adj[u] |= 1 << v
-                g.adj[v] |= 1 << u
+            pick = rng.choice(slots, size=e, replace=False)
+            g = from_edge_list(n, zip(us[pick].tolist(), vs[pick].tolist()))
             books = _edge_codegrees(g)[2]
             if books.max(initial=0) < params.book_cap:
                 break
@@ -477,9 +479,10 @@ def anneal_min_triangles(n: int, e: int, params: AnnealParams) -> FrontierRecord
             )
 
     adj = g.adj
-    present, absent = [], []
-    for i, (u, v) in enumerate(slots_list):
-        (present if adj[u] >> v & 1 else absent).append(i)
+    # the pools hold the present and absent (u, v) pairs in slot order
+    held = _row_bits(g)[us, vs]
+    present = list(zip(us[held].tolist(), vs[held].tolist()))
+    absent = list(zip(us[~held].tolist(), vs[~held].tolist()))
 
     # the book of a present edge (u, v) is (adj[u] & adj[v]).bit_count();
     # hist[c] counts the present edges with book c
@@ -548,9 +551,7 @@ def anneal_min_triangles(n: int, e: int, params: AnnealParams) -> FrontierRecord
             ri, ai, j, h = draws.pair(j, h)
         else:
             j, h = j + 1, nh
-        rem_slot, add_slot = present[ri], absent[ai]
-        ru, rv = slots_list[rem_slot]
-        au, av = slots_list[add_slot]
+        (ru, rv), (au, av) = present[ri], absent[ai]
 
         # common neighbourhood of a once r is gone: r shares at most one
         # endpoint with a, and then only r's other endpoint leaves it
@@ -589,9 +590,9 @@ def anneal_min_triangles(n: int, e: int, params: AnnealParams) -> FrontierRecord
                 accept = uniform[j] < (exp(-delta / temp) if temp else 0.0)
                 j += 1
         if accept:
-            # each pool's last slot fills the hole, and the new slot goes last
-            present[ri], present[-1] = present[-1], add_slot
-            absent[ai], absent[-1] = absent[-1], rem_slot
+            # each pool's last pair fills the hole, and the new pair goes last
+            present[ri], present[-1] = present[-1], (au, av)
+            absent[ai], absent[-1] = absent[-1], (ru, rv)
             hist[c - delta] -= 1
             adj[ru] ^= 1 << rv
             adj[rv] ^= 1 << ru
@@ -672,6 +673,7 @@ def alpha_sweep(
     only, never proofs of optimality.
     """
     Graph(n)  # refuses n outside 1..MAX_VERTICES before any family is tried
+    AnnealParams(book_cap=1, budget=budget, seed=seed)  # and a bad budget or seed
     target_e = n * n // 4 + 1
     entries = []
     for i, raw in enumerate(alphas):

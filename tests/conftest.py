@@ -26,12 +26,11 @@ def enumerate_fixed_edges(n: int, e: int):
     of the scan kernel, so this is the reference the scan is checked against.
     It refuses what the scan refuses, through the scan's own guard.
     """
-    slots = bt.search._guard(n, e)
-    table = bt.search.edge_slots(n)
-    for combo in combinations(range(slots), e):
+    bt.search._guard(n, e)
+    for combo in combinations(combinations(range(n), 2), e):
         g = bt.new_graph(n)
-        for i in combo:
-            g.add_edge(*table[i])
+        for u, v in combo:
+            g.add_edge(u, v)
         yield g
 
 
@@ -347,7 +346,7 @@ def anneal_reference(n: int, e: int, params: bt.AnnealParams) -> bt.FrontierReco
     set-based oracles above, and undoes the swap if it is rejected.  Same
     draws in the same order, so it must return the same record."""
     search = bt.search
-    slots_list = search.edge_slots(n)
+    slots_list = list(combinations(range(n), 2))
     slots = len(slots_list)
     if not 0 <= e <= slots:
         raise bt.ParameterError(f"edge count {e} outside 0..{slots} for n={n}")

@@ -326,11 +326,15 @@ def search_files(tmp_path):
 @example(["frontier", "--n", "6", "--e", "10", "--mode", "anneal", "--book-cap", "3",
           "--seed", "1", "--init", "@init.txt", "--out", "@dir.g6"], "json")
 @example(["sweep", "--n", "40", "--alphas=7/20", "--seed", "1", "--out", "@missing/out.txt"], "csv")
+# these once exited 0: only an alpha with an annealing run checked them
+@example(["sweep", "--n", "40", "--alphas=2/5", "--seed", "1", "--budget", "0"], "csv")
+@example(["sweep", "--n", "40", "--alphas=2/5", "--seed", "-1"], "json")
 def test_search_fuzzed_flags_exit_codes(search_files, capsys, argv, fmt):
     """Fuzzed construct/frontier/sweep flags end, in process, with a
     documented exit code; a failure prints one labelled line (after
     argparse's usage block, if any) and no traceback.  A sweep over fewer
-    than one vertex never succeeds."""
+    than one vertex, or with a seed outside 0..2^64-1 or a budget below 1,
+    never succeeds, whatever its alphas."""
     result = search_files / "out.txt"
     result.unlink(missing_ok=True)
     argv = [str(search_files / a[1:]) if a.startswith("@") else a for a in argv]
@@ -338,8 +342,11 @@ def test_search_fuzzed_flags_exit_codes(search_files, capsys, argv, fmt):
     out, err = capsys.readouterr()
     assert code in _EXIT_CODES
     assert "Traceback" not in err
-    if argv[0] == "sweep" and int(argv[2]) < 1:
-        assert code != cli.EXIT_OK
+    if argv[0] == "sweep":
+        knobs = dict(zip(argv[4::2], argv[5::2]))  # the flags after --alphas=
+        bad_seed = not 0 <= int(knobs.get("--seed", 0)) < 2**64
+        if int(argv[2]) < 1 or bad_seed or int(knobs.get("--budget", 1)) < 1:
+            assert code != cli.EXIT_OK
     if code == cli.EXIT_OK:
         assert out or result.read_text()
     else:

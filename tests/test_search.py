@@ -34,7 +34,7 @@ def test_enumerate_single_graph_is_triangle():
 
 def test_enumerate_unique_and_ordered():
     masks = []
-    slots = {e: i for i, e in enumerate(bt.search.edge_slots(5))}
+    slots = {e: i for i, e in enumerate(combinations(range(5), 2))}
     for g in enumerate_fixed_edges(5, 4):
         mask = 0
         for e in g.edges():
@@ -136,6 +136,22 @@ def test_extremal_scan_memory_is_bounded_by_block(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20, peak
+
+
+def test_scan_tables_are_read_only():
+    # every scan shares the cached tables, so a write must fail, not leak
+    # into the next scan
+    bt.extremal_scan(6, 10)
+    slots = bt.search._guard(6, 10)
+    us, vs = tables = list(bt.search._slots(6))
+    assert list(zip(us.tolist(), vs.tolist())) == list(combinations(range(6), 2))
+    low = slots // 2
+    for shift, width in ((low, slots - low), (0, low)):
+        by_pop, words = bt.search._half(6, slots, shift, width)
+        tables += [*by_pop, words]
+    for table in tables:
+        with pytest.raises(ValueError, match="read-only"):
+            table[:1] = 0
 
 
 def test_witnesses_reverify():
@@ -375,10 +391,10 @@ def test_anneal_measures_init_once(monkeypatch):
 
 @pytest.mark.parametrize("n", [0, -1, 10**9])
 def test_anneal_refuses_vertex_count_before_allocating(monkeypatch, n):
-    def fail(n):
-        raise AssertionError("edge_slots built before the vertex count was checked")
+    def fail(n, k):
+        raise AssertionError("slots listed before the vertex count was checked")
 
-    monkeypatch.setattr(bt.search, "edge_slots", fail)
+    monkeypatch.setattr(bt.search.np, "triu_indices", fail)
     with pytest.raises(bt.GraphSizeError):
         bt.anneal_min_triangles(n, 1, bt.AnnealParams(book_cap=5, budget=10, seed=1))
 
@@ -460,6 +476,22 @@ def test_anneal_golden_pins():
         assert _sha256(_canonical(record)) == pin, (n, e, cap, seed)
     entries = bt.alpha_sweep(40, ["3/5", "9/10"], seed=1, budget=2000)
     assert _sha256(bt.sweep_to_csv(entries)) == SWEEP_PIN
+
+
+# the same for runs whose pools hold vertices >= 256, one from a random start
+# and one from rademacher_extremal(1024): (n, e, book_cap, budget) -> pin
+LARGE_ANNEAL_PINS = {
+    (300, 22501, 300, 2000): "984194900feb2c6261c03e182965ed59c4044d4e5652967536b296d057e4cccd",
+    (1024, 262145, 600, 1000): "73dce24c04a8d3b552e92c6fbf08ffd7baffc991daed7c48fc6bad7bae648a22",
+}
+
+
+def test_anneal_large_n_golden_pins():
+    for (n, e, cap, budget), pin in LARGE_ANNEAL_PINS.items():
+        init = bt.rademacher_extremal(n).graph if n == 1024 else None
+        params = bt.AnnealParams(book_cap=cap, budget=budget, seed=1, init=init)
+        record = bt.anneal_min_triangles(n, e, params)
+        assert _sha256(_canonical(record)) == pin, (n, e, cap)
 
 
 def test_anneal_matches_full_recount_reference():
@@ -684,6 +716,23 @@ def test_alpha_sweep_high_alpha_density():
 def test_alpha_sweep_range_error():
     with pytest.raises(bt.ParameterError):
         bt.alpha_sweep(40, [Fraction(1, 5)], seed=1)
+
+
+@pytest.mark.parametrize("alphas", [["2/5"], ["7/20"], ["7/10"], []])
+@pytest.mark.parametrize(
+    "knobs, message",
+    [
+        ({"seed": 1, "budget": 0}, "budget must be >= 1"),
+        ({"seed": -1}, "seed must fit in 64 bits"),
+        ({"seed": 2**64}, "seed must fit in 64 bits"),
+        ({"seed": 1.5}, "seed must be an integer"),
+    ],
+)
+def test_alpha_sweep_refuses_bad_seed_or_budget(alphas, knobs, message):
+    """Whatever the alphas: once only those with an annealing run (7/10 at
+    n = 40) refused these, and the others wrapped the seed modulo 2^64."""
+    with pytest.raises(bt.ParameterError, match=f"^{message}"):
+        bt.alpha_sweep(40, alphas, **knobs)
 
 
 def test_sweep_csv_format():
