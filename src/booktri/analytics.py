@@ -3,9 +3,10 @@
 The book of an edge is the set of triangles through it; its size equals the
 number of common neighbors of the endpoints.  Everything here is a pure
 function of an immutable graph.  Every whole-graph statistic reads one
-kernel, ``_edge_codegrees``: edge uv's book is (A^2)_uv, read off the Gram
-product of the adjacency matrix in float32 one block of rows at a time.  That
-is exact: terms are 0 or 1, so every partial sum is an integer <= n < 2^24.
+kernel, ``_edge_codegrees``: edge uv's book is (A^2)_uv, read off a float32
+Gram product one block of rows at a time, or once over one row per twin class
+when a graph of more than one block has at most _BLOCK classes.  That is
+exact: terms are 0 or 1, so every partial sum is an integer <= n < 2^24.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 from .errors import EmptyGraphError, LoopError, MissingEdgeError
 from .graph import Graph, _row_bits
 
-_BLOCK = 128  # rows per Gram product block (a 128 x 1024 float32 block is 0.5 MB)
+_BLOCK = 128  # rows per row-product block, and most twin classes for the class product
 
 
 @dataclass(frozen=True)
@@ -67,15 +68,29 @@ def book_size(g: Graph, u: int, v: int) -> int:
 
 def _codegree_chunks(g: Graph):
     """Every edge u < v in lexicographic order with its book size, one (u, v, c)
-    per block of _BLOCK rows, computed lazily so a caller may stop early."""
+    per block of _BLOCK rows, computed lazily so a caller may stop early.
+    Twins (equal rows, never adjacent) have equal books, so a graph of more than
+    one block with k <= _BLOCK twin classes takes one k x k product over a row
+    per class: k^2 n terms, no more than the row product's first block."""
     bits = _row_bits(g)
-    a = bits.astype(np.float32)
     order = np.arange(g.n)
+    if _BLOCK < g.n and len(set(g.adj)) <= _BLOCK:
+        first = {}  # classes are numbered by their first vertex
+        lead = [first.setdefault(row, v) for v, row in enumerate(g.adj)]
+        reps, cls = np.unique(lead, return_inverse=True)
+        a = bits[reps].astype(np.float32)
+        book = (a @ a.T).astype(np.int64)
+    else:
+        a, book = bits.astype(np.float32), None
     for r in range(0, g.n, _BLOCK):
         rows = slice(r, r + _BLOCK)
         idx = np.flatnonzero(bits[rows, r:] & (order[rows, None] < order[r:]))
         u, v = np.divmod(idx, g.n - r)
-        yield u + r, v + r, (a[rows] @ a[:, r:]).ravel()[idx].astype(np.int64)
+        u, v = u + r, v + r
+        if book is None:
+            yield u, v, (a[rows] @ a[:, r:]).ravel()[idx].astype(np.int64)
+        else:
+            yield u, v, book[cls[u], cls[v]]
 
 
 def _edge_codegrees(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -4,8 +4,8 @@ Adjacency rows are Python integers used as n-bit sets, so neighborhood
 intersections are a single ``&`` and common-neighbor counts a single
 ``int.bit_count()``.  The vertex cap keeps rows at a fixed small size
 (1024 bits = 16 machine words).  Whole-graph kernels convert all rows at
-once to a boolean matrix and back; the book kernel takes a float32 copy
-of that matrix, whose Gram product is exact while MAX_VERTICES < 2^24.
+once to a boolean matrix and back; the book kernel's float32 Gram product of
+its rows, or of one row per twin class, is exact while MAX_VERTICES < 2^24.
 The rows are a graph's only state: the edge count is read off them, never
 stored beside them.
 """

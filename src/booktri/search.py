@@ -57,7 +57,7 @@ from .constructions import (
     theorem1_sharp,
 )
 from .errors import ExplosionGuardError, ParameterError
-from .graph import Graph, _row_bits, from_edge_list
+from .graph import Graph, _row_bits, _set_row_bits
 
 EXHAUSTIVE_VERTEX_LIMIT = 8
 RNG_ALGORITHM = "numpy-pcg64"
@@ -468,7 +468,10 @@ def anneal_min_triangles(n: int, e: int, params: AnnealParams) -> FrontierRecord
     else:
         for _ in range(200):
             pick = rng.choice(slots, size=e, replace=False)
-            g = from_edge_list(n, zip(us[pick].tolist(), vs[pick].tolist()))
+            m = np.zeros((n, n), dtype=bool)
+            m[us[pick], vs[pick]] = True
+            m |= m.T
+            g = _set_row_bits(Graph(n), m)
             books = _edge_codegrees(g)[2]
             if books.max(initial=0) < params.book_cap:
                 break

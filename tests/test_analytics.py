@@ -2,13 +2,17 @@ import hashlib
 import json
 import random
 from collections import Counter
+from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import booktri as bt
 from conftest import (
+    adjacency_sets,
     brute_book_sizes,
     brute_max_book,
     brute_triangle_count,
@@ -223,6 +227,94 @@ def test_find_triangle_across_chunks():
         assert sorted(zip(u.tolist(), v.tolist())) == sorted(base + first)
         assert books.any() == bool(first)
         assert bt.find_triangle(g) == _first_triangle_full_kernel(g) == expected
+
+
+def _first_triangle_brute(g):
+    """find_triangle's contract read off plain sets: the first edge in
+    lexicographic order with a common neighbour, and its lowest one."""
+    adj = adjacency_sets(g)
+    for u, v in g.edges():
+        if adj[u] & adj[v]:
+            return tuple(sorted((u, v, min(adj[u] & adj[v]))))
+    return None
+
+
+def _assert_kernel_matches_oracles(g):
+    u, v, c = bt.analytics._edge_codegrees(g)
+    edges = list(g.edges())
+    assert list(zip(u.tolist(), v.tolist())) == edges
+    assert c.dtype == np.int64
+    assert c.tolist() == [(g.adj[x] & g.adj[y]).bit_count() for x, y in edges]
+    block = bt.analytics._BLOCK
+    chunks = list(bt.analytics._codegree_chunks(g))
+    assert len(chunks) == -(-g.n // block)
+    for r, (cu, _, _) in zip(range(0, g.n, block), chunks):
+        assert ((r <= cu) & (cu < r + block)).all()  # each block holds its own rows
+    assert bt.find_triangle(g) == _first_triangle_full_kernel(g) == _first_triangle_brute(g)
+
+
+@st.composite
+def blowups(draw) -> bt.Graph:
+    """A blow-up of a random pattern on randomly labelled vertices, plus some
+    isolated vertices and some flipped pairs, so that its twin classes come
+    in any order and some are broken up."""
+    parts = draw(st.integers(1, 8))
+    pattern = {frozenset(p) for p in combinations(range(parts), 2) if draw(st.booleans())}
+    part = [i for i in range(parts) for _ in range(draw(st.integers(1, 5)))]
+    part += [None] * draw(st.integers(0, 3))  # isolated vertices
+    n = len(part)
+    part = [part[i] for i in draw(st.permutations(range(n)))]
+    pairs = list(combinations(range(n), 2))
+    edges = {(x, y) for x, y in pairs if frozenset((part[x], part[y])) in pattern}
+    if pairs:
+        edges ^= set(draw(st.lists(st.sampled_from(pairs), max_size=3)))
+    return bt.from_edge_list(n, edges)
+
+
+@pytest.mark.parametrize("block", [4, 8])
+@settings(deadline=None, max_examples=200)
+@given(blowups())
+def test_kernel_twin_classes_match_oracles(block, g):
+    """With a small row block, blow-ups fall on both sides of k <= block < n:
+    k distinct rows take the k x k class product, others the row product."""
+    with mock.patch.object(bt.analytics, "_BLOCK", block):
+        _assert_kernel_matches_oracles(g)
+
+
+def _distinct_rows(n, seed):
+    """G(n, 1/2) from a fixed seed, checked to have n distinct rows."""
+    rng = random.Random(seed)
+    g = bt.from_edge_list(n, [p for p in combinations(range(n), 2) if rng.random() < 0.5])
+    assert len(set(g.adj)) == n
+    return g
+
+
+def test_kernel_twin_classes_at_block_boundary():
+    block = bt.analytics._BLOCK
+    assert block == 128
+    # n = 129 with 128 distinct rows takes the class product: vertex 1 is a
+    # twin of vertex 0, so the classes' first vertices are 0, 2, 3, ..., 128
+    g = _distinct_rows(block, 1)
+    label = [0] + list(range(2, block + 1))
+    twin = bt.from_edge_list(block + 1, [(label[x], label[y]) for x, y in g.edges()]
+                             + [(1, label[w]) for w in g.neighbors(0)])
+    assert twin.adj[0] == twin.adj[1] and len(set(twin.adj)) == block
+    _assert_kernel_matches_oracles(twin)
+    # n = 129 with 129 distinct rows takes the row product
+    g = _distinct_rows(block + 1, 2)
+    _assert_kernel_matches_oracles(g)
+    # n = 128 is one block, so even 2 distinct rows take the row product
+    g = bt.complete_bipartite(block // 2, block // 2)
+    assert len(set(g.adj)) == 2
+    _assert_kernel_matches_oracles(g)
+    # an edgeless graph above one block is a single class with a zero row
+    g = bt.new_graph(200)
+    u, v, c = bt.analytics._edge_codegrees(g)
+    assert u.size == v.size == c.size == 0
+    assert bt.analyze_report(g) == {
+        "n": 200, "m": 0, "t": 0, "b": None, "max_edge": None, "histogram": {},
+    }
+    assert bt.find_triangle(g) is None
 
 
 def _without_pairs(n, pairs):

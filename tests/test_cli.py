@@ -576,6 +576,10 @@ GOLDEN_COMMANDS = {
     "sweep_40_seed1.json": "sweep --n 40 --alphas 2/5,3/5,9/10 --seed 1 --format json",
     # the CRLF copy of p4.el, with a comment line, reads as the same graph
     "analyze_p4_crlf_el.json": "analyze {golden}/p4_crlf.el",
+    # above one row block of the book kernel: Edwards' graph at n = 192 has 6
+    # distinct rows, so these read the twin-class product
+    "construct_edwards_192_2_5.json": "construct edwards --n 192 --alpha 2/5",
+    "analyze_edwards_192_2_5_g6.json": "analyze {golden}/edwards_192_2_5.g6",
 }
 for _fmt in ("json", "csv"):
     GOLDEN_COMMANDS.update({
