@@ -3,9 +3,9 @@
 The book of an edge is the set of triangles through it; its size equals the
 number of common neighbors of the endpoints.  Everything here is a pure
 function of an immutable graph.  Every whole-graph statistic reads one
-kernel, ``_edge_codegrees``: edge uv's book is (A^2)_uv, read off a float32
-Gram product one block of rows at a time, or once over one row per twin class
-when a graph of more than one block has at most _BLOCK classes.  That is
+kernel, ``_codegree_chunks``: edge uv's book is (A^2)_uv, read off a float32
+Gram product as groups of edges that share a book, one per adjacent pair of
+twin classes or one per edge; only book_profile lists every edge.  That is
 exact: terms are 0 or 1, so every partial sum is an integer <= n < 2^24.
 """
 
@@ -66,79 +66,89 @@ def book_size(g: Graph, u: int, v: int) -> int:
     return (g.adj[u] & g.adj[v]).bit_count()
 
 
+def _leads(g: Graph) -> list[int]:
+    """Each vertex's twin-class lead: the first vertex with its row."""
+    first = {}
+    return [first.setdefault(row, v) for v, row in enumerate(g.adj)]
+
+
 def _codegree_chunks(g: Graph):
-    """Every edge u < v in lexicographic order with its book size, one (u, v, c)
-    per block of _BLOCK rows, computed lazily so a caller may stop early.
-    Twins (equal rows, never adjacent) have equal books, so a graph of more than
-    one block with k <= _BLOCK twin classes takes one k x k product over a row
-    per class: k^2 n terms, no more than the row product's first block."""
-    bits = _row_bits(g)
-    order = np.arange(g.n)
+    """The edges u < v as groups (u, v, c, w), lazily, so a caller may stop
+    early: (u, v) is a group's lexicographically first edge, c the book that
+    all its w edges share, and groups come in first-edge order.  Twins (equal
+    rows, never adjacent) have equal books, so a graph of more than one block
+    with k <= _BLOCK twin classes takes one k x k product over a row per class
+    (k^2 n terms, no more than the row product's first block) and yields one
+    chunk, a group per adjacent pair of classes.  Any other graph yields one
+    chunk per block of _BLOCK rows, a group per edge, with w None."""
     if _BLOCK < g.n and len(set(g.adj)) <= _BLOCK:
-        first = {}  # classes are numbered by their first vertex
-        lead = [first.setdefault(row, v) for v, row in enumerate(g.adj)]
-        reps, cls = np.unique(lead, return_inverse=True)
-        a = bits[reps].astype(np.float32)
-        book = (a @ a.T).astype(np.int64)
-    else:
-        a, book = bits.astype(np.float32), None
+        reps, size = np.unique(_leads(g), return_counts=True)
+        a = _row_bits([g.adj[v] for v in reps.tolist()], g.n)  # one row per class
+        i, j = np.nonzero(np.triu(a[:, reps]))  # adjacent classes, by their leads
+        a = a.astype(np.float32)
+        yield reps[i], reps[j], (a @ a.T)[i, j].astype(np.int64), size[i] * size[j]
+        return
+    bits = _row_bits(g.adj, g.n)
+    a, order = bits.astype(np.float32), np.arange(g.n)
     for r in range(0, g.n, _BLOCK):
         rows = slice(r, r + _BLOCK)
         idx = np.flatnonzero(bits[rows, r:] & (order[rows, None] < order[r:]))
         u, v = np.divmod(idx, g.n - r)
-        u, v = u + r, v + r
-        if book is None:
-            yield u, v, (a[rows] @ a[:, r:]).ravel()[idx].astype(np.int64)
-        else:
-            yield u, v, book[cls[u], cls[v]]
+        yield u + r, v + r, (a[rows] @ a[:, r:]).ravel()[idx].astype(np.int64), None
 
 
-def _edge_codegrees(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every edge u < v in lexicographic order, with its book size."""
-    return tuple(map(np.concatenate, zip(*_codegree_chunks(g))))
+def _groups(g: Graph) -> tuple:
+    """All of _codegree_chunks' groups as (u, v, c) arrays, and hist: hist[s]
+    edges have book s, and its last entry is nonzero unless g is edgeless."""
+    u, v, c, w = zip(*_codegree_chunks(g))
+    u, v, c = map(np.concatenate, (u, v, c))  # w[-1]: the class path's one chunk, or None
+    return u, v, c, np.bincount(c, w[-1]).astype(np.int64, copy=False)
 
 
-def _t_and_b(c: np.ndarray) -> tuple[int, int]:
-    """(t, largest book) from the per-edge books: their sum is 3t, and an
-    edgeless graph's largest book is 0."""
-    total = int(c.sum())
+def _t_and_b(hist: np.ndarray) -> tuple[int, int]:
+    """(t, largest book) from the book histogram: sum s * hist[s] is 3t, and
+    an edgeless graph's largest book is 0."""
+    total = int(hist @ np.arange(hist.size))
     assert total % 3 == 0
-    return total // 3, int(c.max(initial=0))
+    return total // 3, max(hist.size - 1, 0)
 
 
 def triangle_count(g: Graph) -> TriangleStats:
-    """Exact triangle count via the codegree sum over edges (= 3t)."""
-    return TriangleStats(count=_t_and_b(_edge_codegrees(g)[2])[0], n=g.n)
+    """Exact triangle count via the book histogram (sum of s * hist[s] = 3t)."""
+    return TriangleStats(count=_t_and_b(_groups(g)[3])[0], n=g.n)
 
 
 def book_profile(g: Graph) -> BookProfile:
     if not any(g.adj):
         raise EmptyGraphError("book profile of an edgeless graph is undefined")
-    u, v, c = _edge_codegrees(g)
-    i = int(c.argmax())  # first max, and edges are lexicographic, so ties go low
-    return BookProfile(
-        per_edge=dict(zip(zip(u.tolist(), v.tolist()), c.tolist())),
-        max_edge=(int(u[i]), int(v[i])),
-        max_size=int(c[i]),
-    )
+    u, v, c, hist = _groups(g)
+    i = int(c.argmax())  # first max, and groups are in first-edge order, so ties go low
+    max_edge, max_size = (int(u[i]), int(v[i])), int(c[i])
+    if c.size < hist.sum():  # each edge takes the book of its two classes' group
+        reps, cls = np.unique(_leads(g), return_inverse=True)
+        book = np.zeros((reps.size, reps.size), np.int64)
+        book[cls[u], cls[v]] = book[cls[v], cls[u]] = c  # first edges join class leads
+        u, v = np.divmod(np.flatnonzero(np.triu(_row_bits(g.adj, g.n))), g.n)
+        c = book[cls[u], cls[v]]
+    per_edge = dict(zip(zip(u.tolist(), v.tolist()), c.tolist()))
+    return BookProfile(per_edge=per_edge, max_edge=max_edge, max_size=max_size)
 
 
 def book_histogram(g: Graph) -> dict[int, int]:
     """Map book size -> number of edges with that size."""
-    counts = np.bincount(_edge_codegrees(g)[2]).tolist()
-    return {size: k for size, k in enumerate(counts) if k}
+    return {size: k for size, k in enumerate(_groups(g)[3].tolist()) if k}
 
 
 def max_book(g: Graph) -> int:
     """Largest book size over all edges; 0 for an edgeless graph."""
-    return _t_and_b(_edge_codegrees(g)[2])[1]
+    return _t_and_b(_groups(g)[3])[1]
 
 
 def find_triangle(g: Graph) -> tuple[int, int, int] | None:
     """Some triangle (u, v, w) with u < v < w, or None if triangle-free."""
-    for u, v, c in _codegree_chunks(g):
+    for u, v, c, _ in _codegree_chunks(g):
         hit = np.flatnonzero(c)
-        if hit.size:  # the first edge with a common neighbour, as edges are ordered
+        if hit.size:  # the first edge with a common neighbour, as groups are ordered
             x, y = int(u[hit[0]]), int(v[hit[0]])
             common = g.adj[x] & g.adj[y]
             w = (common & -common).bit_length() - 1
@@ -147,19 +157,15 @@ def find_triangle(g: Graph) -> tuple[int, int, int] | None:
 
 
 def analyze_report(g: Graph) -> dict:
-    """Summary dict {n, m, t, b, max_edge, histogram} used by report files."""
-    u, v, c = _edge_codegrees(g)
-    if not c.size:
-        b, max_edge, hist = None, None, {}
-    else:
-        i = int(c.argmax())
-        b, max_edge = int(c[i]), [int(u[i]), int(v[i])]
-        hist = {str(size): k for size, k in enumerate(np.bincount(c).tolist()) if k}
+    """Summary dict {n, m, t, b, max_edge, histogram} used by report files;
+    max_edge is the first edge of the first group with the largest book."""
+    u, v, c, hist = _groups(g)
+    i = int(c.argmax()) if c.size else None
     return {
         "n": g.n,
-        "m": c.size,
-        "t": _t_and_b(c)[0],
-        "b": b,
-        "max_edge": max_edge,
-        "histogram": hist,
+        "m": int(hist.sum()),
+        "t": _t_and_b(hist)[0],
+        "b": None if i is None else int(c[i]),
+        "max_edge": None if i is None else [int(u[i]), int(v[i])],
+        "histogram": {str(size): k for size, k in enumerate(hist.tolist()) if k},
     }

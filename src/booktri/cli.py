@@ -192,6 +192,8 @@ def _cmd_sweep(args) -> int:
     if args.seed is None:
         raise _UsageError("sweep requires --seed")
     alphas = [a for a in args.alphas.split(",") if a]
+    if not alphas:
+        raise _UsageError(f"sweep --alphas names no rational p/q: {args.alphas!r}")
     entries = alpha_sweep(args.n, alphas, seed=args.seed, budget=args.budget)
     if args.format == "json":
         payload = [

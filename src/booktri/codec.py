@@ -34,7 +34,7 @@ def to_graph6(g: Graph) -> str:
         header = bytes([n + 63])
     else:
         header = bytes([126, (n >> 12) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63])
-    bits = _row_bits(g)[np.tri(n, k=-1, dtype=bool)]
+    bits = _row_bits(g.adj, n)[np.tri(n, k=-1, dtype=bool)]
     groups = np.concatenate((bits, np.zeros(-len(bits) % 6, dtype=bool))).reshape(-1, 6)
     payload = (np.packbits(groups, axis=1) >> 2) + 63
     return (header + payload.tobytes()).decode("ascii")

@@ -29,7 +29,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .analytics import TriangleStats, _edge_codegrees, _t_and_b
+from .analytics import TriangleStats, _groups, _t_and_b
 from .errors import ParameterError
 from .graph import Graph, _blowup
 
@@ -83,7 +83,7 @@ class ConstructionReport:
     def to_json_dict(self) -> dict:
         from .codec import to_graph6  # local import to avoid a cycle
 
-        t, b = _t_and_b(_edge_codegrees(self.graph)[2])
+        t, b = _t_and_b(_groups(self.graph)[3])
         return {
             "kind": self.kind,
             "n": self.n,
@@ -201,5 +201,5 @@ def edwards_generalized(n: int, alpha) -> ConstructionReport:
 
 def predicted_vs_actual(report: ConstructionReport) -> bool:
     """True iff the closed-form t and b match exact measurements."""
-    measured = _t_and_b(_edge_codegrees(report.graph)[2])
+    measured = _t_and_b(_groups(report.graph)[3])
     return measured == (report.predicted_t, report.predicted_b)

@@ -3,9 +3,10 @@
 Adjacency rows are Python integers used as n-bit sets, so neighborhood
 intersections are a single ``&`` and common-neighbor counts a single
 ``int.bit_count()``.  The vertex cap keeps rows at a fixed small size
-(1024 bits = 16 machine words).  Whole-graph kernels convert all rows at
-once to a boolean matrix and back; the book kernel's float32 Gram product of
-its rows, or of one row per twin class, is exact while MAX_VERTICES < 2^24.
+(1024 bits = 16 machine words).  Whole-graph kernels convert rows to a
+boolean matrix and back.  Twins have equal row ints, so the book kernel finds
+twin classes by hashing the rows and unpacks one row per class; its float32
+Gram product, of all rows or of those, is exact while MAX_VERTICES < 2^24.
 The rows are a graph's only state: the edge count is read off them, never
 stored beside them.
 """
@@ -113,13 +114,13 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-def _row_bits(g: Graph) -> np.ndarray:
-    """The (n, n) boolean adjacency matrix of g's rows: each row is packed
+def _row_bits(rows: list[int], n: int) -> np.ndarray:
+    """The (len(rows), n) boolean matrix of n-bit rows: each row is packed
     into ceil(n/64) little-endian words, then unpacked bit by bit."""
-    width = 8 * ((g.n + 63) // 64)
-    buf = b"".join([row.to_bytes(width, "little") for row in g.adj])
-    rows = np.frombuffer(buf, dtype=np.uint8).reshape(g.n, -1)
-    return np.unpackbits(rows, axis=1, count=g.n, bitorder="little").view(bool)
+    width = 8 * ((n + 63) // 64)
+    buf = b"".join([row.to_bytes(width, "little") for row in rows])
+    packed = np.frombuffer(buf, dtype=np.uint8).reshape(len(rows), -1)
+    return np.unpackbits(packed, axis=1, count=n, bitorder="little").view(bool)
 
 
 def _set_row_bits(g: Graph, bits: np.ndarray) -> Graph:

@@ -46,7 +46,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .analytics import _edge_codegrees, _t_and_b
+from .analytics import _groups, _t_and_b
 from .codec import to_graph6
 from .constructions import (
     ConstructionReport,
@@ -461,8 +461,8 @@ def anneal_min_triangles(n: int, e: int, params: AnnealParams) -> FrontierRecord
         g = params.init.copy()
         if g.m != e:
             raise ParameterError(f"init has {g.m} edges, expected {e}")
-        books = _edge_codegrees(g)[2]
-        b = int(books.max(initial=0))
+        hist = _groups(g)[3]
+        b = _t_and_b(hist)[1]
         if b >= params.book_cap:
             raise ParameterError(f"init violates book cap: b={b} >= {params.book_cap}")
     else:
@@ -472,8 +472,8 @@ def anneal_min_triangles(n: int, e: int, params: AnnealParams) -> FrontierRecord
             m[us[pick], vs[pick]] = True
             m |= m.T
             g = _set_row_bits(Graph(n), m)
-            books = _edge_codegrees(g)[2]
-            if books.max(initial=0) < params.book_cap:
+            hist = _groups(g)[3]
+            if _t_and_b(hist)[1] < params.book_cap:
                 break
         else:
             raise ParameterError(
@@ -483,14 +483,14 @@ def anneal_min_triangles(n: int, e: int, params: AnnealParams) -> FrontierRecord
 
     adj = g.adj
     # the pools hold the present and absent (u, v) pairs in slot order
-    held = _row_bits(g)[us, vs]
+    held = _row_bits(g.adj, n)[us, vs]
     present = list(zip(us[held].tolist(), vs[held].tolist()))
     absent = list(zip(us[~held].tolist(), vs[~held].tolist()))
 
     # the book of a present edge (u, v) is (adj[u] & adj[v]).bit_count();
     # hist[c] counts the present edges with book c
-    hist = np.bincount(books, minlength=n).tolist()
-    cur_t, cur_b = _t_and_b(books)
+    cur_t, cur_b = _t_and_b(hist)
+    hist = hist.tolist() + [0] * (n - hist.size)
 
     def shift(x, y, mask, d) -> int:
         """The books of (x, w) and (y, w), w in mask, have just changed by d:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import tracemalloc
 from collections import Counter
 from itertools import combinations
 from unittest import mock
@@ -191,13 +192,13 @@ def test_find_triangle():
 
 
 def _first_triangle_full_kernel(g):
-    """find_triangle's witness read off the whole kernel: the first edge with
-    a common neighbour, and its lowest common neighbour."""
-    u, v, c = bt.analytics._edge_codegrees(g)
-    hit = np.flatnonzero(c)
-    if not hit.size:
+    """find_triangle's witness read off every edge's book, as book_profile
+    lists them: the first edge with a common neighbour, and its lowest one."""
+    books = bt.book_profile(g).per_edge if g.m else {}
+    hit = [edge for edge, c in books.items() if c]
+    if not hit:
         return None
-    x, y = int(u[hit[0]]), int(v[hit[0]])
+    x, y = hit[0]
     common = g.adj[x] & g.adj[y]
     return tuple(sorted((x, y, (common & -common).bit_length() - 1)))
 
@@ -208,24 +209,102 @@ def test_find_triangle_matches_full_kernel(g):
     assert bt.find_triangle(g) == _first_triangle_full_kernel(g)
 
 
-def test_find_triangle_across_chunks():
-    """K_{R,R} on 0..2R-1, with R the kernel's row block, fills the first
-    block with exactly its R*R triangle-free edges and leaves the second block
-    without any; what comes after it decides whether, and where, a triangle
-    is found."""
+def _group_edges(g, x, y, w):
+    """The edges of the group whose first edge is (x, y), by plain row
+    comparison: every edge between the twins of x and the twins of y, or the
+    edge itself when the group carries no size (a group of one edge)."""
+    if w is None:
+        return [(x, y)]
+    xs = [z for z in range(g.n) if g.adj[z] == g.adj[x]]
+    ys = [z for z in range(g.n) if g.adj[z] == g.adj[y]]
+    return [(min(p, q), max(p, q)) for p in xs for q in ys]
+
+
+def _assert_groups_match_oracles(g):
+    """The grouped kernel against per-edge oracles: the groups' edges are
+    exactly g's edges, each once and with its group's book, and every count
+    and answer read off the groups equals the brute one."""
+    books = brute_book_sizes(g)
+    groups = [
+        (x, y, c, w)
+        for u, v, cs, ws in bt.analytics._codegree_chunks(g)
+        for x, y, c, w in zip(u.tolist(), v.tolist(), cs.tolist(),
+                              [None] * cs.size if ws is None else ws.tolist())
+    ]
+    firsts = [(x, y) for x, y, _, _ in groups]
+    assert firsts == sorted(set(firsts))  # in first-edge order, each once
+    covered = []
+    for x, y, c, w in groups:
+        assert books[(x, y)] == c  # a real edge, with the group's book
+        edges = _group_edges(g, x, y, w)
+        assert min(edges) == (x, y) and len(edges) == (1 if w is None else w)
+        assert all(books[e] == c for e in edges)
+        covered += edges
+    assert sorted(covered) == list(books)  # every edge in exactly one group
+    weight = [1 if w is None else w for _, _, _, w in groups]
+    assert sum(weight) == g.m
+    hist = Counter()
+    for (_, _, c, _), w in zip(groups, weight):
+        hist[c] += w
+    assert bt.book_histogram(g) == dict(sorted(Counter(books.values()).items())) == dict(hist)
+    report = bt.analyze_report(g)
+    assert report["m"] == g.m and report["histogram"] == {str(s): k for s, k in sorted(hist.items())}
+    top = max(books.values(), default=None)
+    first_max = min((e for e, c in books.items() if c == top), default=None)
+    assert report["b"] == top and report["max_edge"] == (first_max and list(first_max))
+    assert bt.find_triangle(g) == _first_triangle_brute(g)
+
+
+def _assert_kernel_matches_oracles(g):
+    """The grouped kernel as above, with the chunking its path promises, and
+    book_profile's per-edge listing against per-edge popcounts."""
+    _assert_groups_match_oracles(g)
+    block = bt.analytics._BLOCK
+    chunks = list(bt.analytics._codegree_chunks(g))
+    assert all(c.dtype == np.int64 for _, _, c, _ in chunks)
+    if block < g.n and len(set(g.adj)) <= block:  # the class path: one chunk
+        assert len(chunks) == 1 and chunks[0][3].dtype == np.int64
+    else:  # the row path: one chunk per block, each holding its own rows
+        assert len(chunks) == -(-g.n // block)
+        for r, (cu, _, _, w) in zip(range(0, g.n, block), chunks):
+            assert ((r <= cu) & (cu < r + block)).all() and w is None
+    edges = list(g.edges())
+    if edges:
+        per_edge = bt.book_profile(g).per_edge
+        assert list(per_edge) == edges
+        assert list(per_edge.values()) == [(g.adj[x] & g.adj[y]).bit_count() for x, y in edges]
+    assert bt.find_triangle(g) == _first_triangle_full_kernel(g) == _first_triangle_brute(g)
+
+
+@pytest.mark.parametrize("minus_matching", [False, True])
+def test_find_triangle_across_chunks(minus_matching):
+    """K_{R,R} on 0..2R-1, with R the kernel's row block, plus edges among
+    the three vertices after it.  Whole, it has a handful of twin classes and
+    takes the class path, one chunk of groups; minus a perfect matching its
+    rows are distinct and it takes the row path, where the first block holds
+    exactly its own R*(R-1) triangle-free edges and the second block none.
+    What comes after decides whether, and where, a triangle is found."""
     block = bt.analytics._BLOCK
     base = [(i, j) for i in range(block) for j in range(block, 2 * block)]
+    if minus_matching:
+        base = sorted(set(base) - {(i, block + i) for i in range(block)})
     a, b, c = range(2 * block, 2 * block + 3)  # rows of the third block
     for extra, expected in (
         ([(a, b), (b, c)], None),
         ([(a, b), (a, c), (b, c)], (a, b, c)),
-        ([(0, 1), (a, b)], (0, 1, block)),
+        ([(0, 1), (a, b)], (0, 1, block + 2 * minus_matching)),
     ):
         g = bt.from_edge_list(2 * block + 3, base + extra)
-        u, v, books = next(bt.analytics._codegree_chunks(g))
-        first = [(x, y) for x, y in extra if x < block]
-        assert sorted(zip(u.tolist(), v.tolist())) == sorted(base + first)
-        assert books.any() == bool(first)
+        chunks = list(bt.analytics._codegree_chunks(g))
+        if minus_matching:
+            u, v, books, w = chunks[0]
+            first = [(x, y) for x, y in extra if x < block]
+            assert len(chunks) == 3 and w is None
+            assert list(zip(u.tolist(), v.tolist())) == sorted(base + first)
+            assert books.any() == bool(first)
+        else:
+            assert len(chunks) == 1
+        _assert_kernel_matches_oracles(g)
         assert bt.find_triangle(g) == _first_triangle_full_kernel(g) == expected
 
 
@@ -237,20 +316,6 @@ def _first_triangle_brute(g):
         if adj[u] & adj[v]:
             return tuple(sorted((u, v, min(adj[u] & adj[v]))))
     return None
-
-
-def _assert_kernel_matches_oracles(g):
-    u, v, c = bt.analytics._edge_codegrees(g)
-    edges = list(g.edges())
-    assert list(zip(u.tolist(), v.tolist())) == edges
-    assert c.dtype == np.int64
-    assert c.tolist() == [(g.adj[x] & g.adj[y]).bit_count() for x, y in edges]
-    block = bt.analytics._BLOCK
-    chunks = list(bt.analytics._codegree_chunks(g))
-    assert len(chunks) == -(-g.n // block)
-    for r, (cu, _, _) in zip(range(0, g.n, block), chunks):
-        assert ((r <= cu) & (cu < r + block)).all()  # each block holds its own rows
-    assert bt.find_triangle(g) == _first_triangle_full_kernel(g) == _first_triangle_brute(g)
 
 
 @st.composite
@@ -281,6 +346,34 @@ def test_kernel_twin_classes_match_oracles(block, g):
         _assert_kernel_matches_oracles(g)
 
 
+@settings(deadline=None)
+@given(graphs(max_n=24))
+@example(bt.new_graph(1))
+def test_grouped_kernel_matches_oracles(g):
+    _assert_kernel_matches_oracles(g)
+
+
+def test_class_path_reads_no_per_edge_arrays():
+    """A blow-up's counts, books and first triangle come from its k x k class
+    product and one group per adjacent pair of classes: no array per edge
+    (262,145 edges in the Rademacher graph, 8 bytes a book, 12.6 MB when the
+    kernel listed them) and no n x n matrix (1 MB of booleans)."""
+    rademacher = bt.rademacher_extremal(1024).graph
+    c5 = bt.graph._blowup([196, 210, 200, 214, 200], [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
+    assert c5.n == 1020 and len(set(c5.adj)) == 5
+    tracemalloc.start()
+    try:
+        report = bt.analyze_report(rademacher)
+        peaks = [tracemalloc.get_traced_memory()[1]]
+        tracemalloc.reset_peak()
+        triangle = bt.find_triangle(c5)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    assert report["m"] == 262_145 and triangle is None
+    assert max(peaks) < 3 * 2**20, peaks
+
+
 def _distinct_rows(n, seed):
     """G(n, 1/2) from a fixed seed, checked to have n distinct rows."""
     rng = random.Random(seed)
@@ -309,8 +402,8 @@ def test_kernel_twin_classes_at_block_boundary():
     _assert_kernel_matches_oracles(g)
     # an edgeless graph above one block is a single class with a zero row
     g = bt.new_graph(200)
-    u, v, c = bt.analytics._edge_codegrees(g)
-    assert u.size == v.size == c.size == 0
+    (u, v, c, w), = bt.analytics._codegree_chunks(g)
+    assert u.size == v.size == c.size == w.size == 0
     assert bt.analyze_report(g) == {
         "n": 200, "m": 0, "t": 0, "b": None, "max_edge": None, "histogram": {},
     }

@@ -512,6 +512,18 @@ def test_sweep_requires_seed(capsys):
     assert main(["sweep", "--n", "40", "--alphas", "2/5"]) == 1
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("alphas", ["", ",,", ","])
+def test_sweep_refuses_empty_alphas(capsys, alphas, fmt):
+    """An --alphas list that names no alpha is a usage error, not an empty
+    result (it printed [] or a bare CSV header and exited 0)."""
+    argv = ["sweep", "--n", "40", f"--alphas={alphas}", "--seed", "1", "--format", fmt]
+    assert main(argv) == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: sweep --alphas names no rational p/q: {alphas!r}\n"
+
+
 def test_sweep_csv(tmp_path):
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--n", "40", "--alphas", "7/20,2/5,9/10", "--seed", "1",
@@ -580,6 +592,14 @@ GOLDEN_COMMANDS = {
     # distinct rows, so these read the twin-class product
     "construct_edwards_192_2_5.json": "construct edwards --n 192 --alpha 2/5",
     "analyze_edwards_192_2_5_g6.json": "analyze {golden}/edwards_192_2_5.g6",
+    # a C5 blow-up on 200 vertices (parts 38, 45, 33, 47, 37, labelled at
+    # random): 5 distinct rows, so the class product; its max-degree split
+    # leaves the 1,406 edges between two parts inside X
+    "analyze_c5_blowup_200_g6.json": "analyze {golden}/c5_blowup_200.g6",
+    "stability_rewire_c5_blowup_200_g6.json":
+        "stability {golden}/c5_blowup_200.g6 --rewire --format json",
+    "stability_rewire_c5_blowup_200_g6.csv":
+        "stability {golden}/c5_blowup_200.g6 --rewire --format csv",
 }
 for _fmt in ("json", "csv"):
     GOLDEN_COMMANDS.update({
@@ -608,6 +628,17 @@ def test_cli_golden_bytes(name, capsys):
     argv = [arg.format(golden=GOLDEN) for arg in GOLDEN_COMMANDS[name].split()]
     assert main(argv) == 0
     assert capsys.readouterr().out.encode("ascii") == (GOLDEN / name).read_bytes()
+
+
+def test_cli_golden_stability_witness_above_one_block(capsys):
+    """Edwards' graph at n = 192 is not triangle-free: stability exits 3
+    with the witness the class product's first triangle gives, and prints
+    nothing on stdout."""
+    argv = ["stability", str(GOLDEN / "edwards_192_2_5.g6")]
+    assert main(argv) == cli.EXIT_HYPOTHESIS
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.encode("ascii") == (GOLDEN / "stability_edwards_192_2_5_g6.err").read_bytes()
 
 
 def test_cli_golden_crlf_matches_lf():

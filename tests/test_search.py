@@ -373,8 +373,8 @@ def test_anneal_init_validation():
 
 def test_anneal_measures_init_once(monkeypatch):
     calls = []
-    kernel = bt.search._edge_codegrees
-    monkeypatch.setattr(bt.search, "_edge_codegrees", lambda g: calls.append(g.m) or kernel(g))
+    kernel = bt.search._groups
+    monkeypatch.setattr(bt.search, "_groups", lambda g: calls.append(g.m) or kernel(g))
     dense = bt.rademacher_extremal(6).graph
     bt.anneal_min_triangles(6, 10, bt.AnnealParams(book_cap=4, budget=10, seed=1, init=dense))
     assert calls == [10]
