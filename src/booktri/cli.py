@@ -124,11 +124,12 @@ def _kv_csv(d: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _dump(d: dict, fmt: str, out: str | None) -> None:
+def _dump(obj: dict | list, fmt: str, out: str | None, csv: str | None = None) -> None:
+    """Write obj as JSON, or else csv, falling back to obj's key,value lines."""
     if fmt == "json":
-        _emit(json.dumps(d, indent=2) + "\n", out)
+        _emit(json.dumps(obj, indent=2) + "\n", out)
     else:
-        _emit(_kv_csv(d), out)
+        _emit(_kv_csv(obj) if csv is None else csv, out)
 
 
 def _cmd_analyze(args) -> int:
@@ -176,10 +177,7 @@ def _cmd_frontier(args) -> int:
                 decay=args.decay,
             ),
         )
-    if args.format == "json":
-        _emit(json.dumps(record.to_json_dict(), indent=2) + "\n", args.out)
-    else:
-        _emit(record.to_csv(), args.out)
+    _dump(record.to_json_dict(), args.format, args.out, record.to_csv())
     print(
         f"n={record.n} e={record.e} min_t={record.min_t} min_b={record.min_b} "
         f"scanned={record.scanned}",
@@ -195,20 +193,7 @@ def _cmd_sweep(args) -> int:
     if not alphas:
         raise _UsageError(f"sweep --alphas names no rational p/q: {args.alphas!r}")
     entries = alpha_sweep(args.n, alphas, seed=args.seed, budget=args.budget)
-    if args.format == "json":
-        payload = [
-            {
-                "alpha": str(s.alpha),
-                "b_cap": s.b_cap,
-                "t": s.best_t,
-                "source": s.source,
-                "graph6": s.graph6,
-            }
-            for s in entries
-        ]
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    else:
-        _emit(sweep_to_csv(entries), args.out)
+    _dump([s.to_json_dict() for s in entries], args.format, args.out, sweep_to_csv(entries))
     return EXIT_OK
 
 

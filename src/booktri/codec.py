@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import EdgeListParseError, Graph6ParseError, GraphSizeError
-from .graph import MAX_VERTICES, Graph, _row_bits, _set_row_bits
+from .errors import EdgeListParseError, Graph6ParseError
+from .graph import Graph, _row_bits, _set_row_bits
 
 _HEADER = b">>graph6<<"
 
@@ -82,9 +82,7 @@ def from_graph6(data: str | bytes) -> Graph:
         n = b - 63
         pos = 1
 
-    if n < 1 or n > MAX_VERTICES:
-        raise GraphSizeError(f"vertex count {n} outside 1..{MAX_VERTICES}")
-
+    g = Graph(n)  # refuses a bad count before the payload is read
     nbits = n * (n - 1) // 2
     expect = (nbits + 5) // 6
     payload = data[pos:]
@@ -106,7 +104,7 @@ def from_graph6(data: str | bytes) -> Graph:
         raise Graph6ParseError("nonzero padding bits", pos + expect - 1)
     matrix = np.zeros((n, n), dtype=bool)
     matrix[np.tri(n, k=-1, dtype=bool)] = bits[:nbits]
-    return _set_row_bits(Graph(n), matrix | matrix.T)
+    return _set_row_bits(g, matrix | matrix.T)
 
 
 def to_edge_list(g: Graph) -> str:
@@ -207,9 +205,9 @@ def from_edge_list_text(text: str | bytes, n: int | None = None) -> Graph:
 
     Lines and tokens are those of str.splitlines and str.split.  A line of
     two tokens of one to four digits is decoded in one numpy pass over the
-    bytes; every other non-blank line goes through _parse_line in line
-    order, so the first error by line is the one raised.  Errors carry a
-    1-based line, or line 0 for a vertex outside the count.
+    bytes; every other non-blank line, and the first self-loop, goes through
+    _parse_line in line order, so the first error by line is the one raised.
+    Errors carry a 1-based line, or line 0 for a vertex outside the count.
     """
     data = _ascii(text)
     pad = bytes([_BREAK])
@@ -231,10 +229,10 @@ def from_edge_list_text(text: str | bytes, n: int | None = None) -> Graph:
     fast_lines, u = two[fast], u[fast]
     uv = values[u[:, None] + (0, 1)]
     loops = (uv[:, 0] == uv[:, 1]).nonzero()[0]
-    stop = int(fast_lines[loops[0]]) if loops.size else len(count)
 
-    count[fast_lines] = 0  # leaves the lines _parse_line reads
-    slow_lines = count[:stop].nonzero()[0]
+    count[fast_lines] = 0  # leaves the lines _parse_line reads,
+    count[fast_lines[loops[:1]]] = 2  # and hands it the first self-loop
+    slow_lines = count.nonzero()[0]
     lo = starts[first[slow_lines]]
     hi = ends[edges[slow_lines + 1] - 1]
     pairs = []
@@ -242,9 +240,6 @@ def from_edge_list_text(text: str | bytes, n: int | None = None) -> Graph:
         n, got = _parse_line(data[a:b].decode("ascii"), li + 1, n)
         if got is not None:
             pairs.append(got)
-    if loops.size:
-        v = int(uv[loops[0], 0])
-        raise EdgeListParseError(f"self-loop {v} {v}", stop + 1)
     maxv = max([int(uv.max()) if uv.size else -1, *map(max, pairs)])
 
     if n is None:

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .analytics import TriangleStats, _groups, _t_and_b
+from .codec import to_graph6
 from .errors import ParameterError
 from .graph import Graph, _blowup
 
@@ -81,8 +82,6 @@ class ConstructionReport:
     predicted_b: int
 
     def to_json_dict(self) -> dict:
-        from .codec import to_graph6  # local import to avoid a cycle
-
         t, b = _t_and_b(_groups(self.graph)[3])
         return {
             "kind": self.kind,

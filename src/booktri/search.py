@@ -180,7 +180,7 @@ def _half(n: int, slots: int, shift: int, width: int):
         rows[u] |= bit << v
         rows[v] |= bit << u
     pops = np.bitwise_count(masks)
-    if n > 1 and shift + width == slots:  # n = 1 has no vertex 1 and one graph
+    if shift + width == slots:
         n0, n1 = rows[:2].astype(np.uint32)
         d = np.bitwise_count(n0)
         # each set, shifted to its range's first vertex, must read 2^k - 1
@@ -654,6 +654,15 @@ class SweepEntry:
     best_t: int | None
     source: str
     graph6: str | None
+
+    def to_json_dict(self) -> dict:
+        return {
+            "alpha": str(self.alpha),
+            "b_cap": self.b_cap,
+            "t": self.best_t,
+            "source": self.source,
+            "graph6": self.graph6,
+        }
 
 
 def alpha_sweep(

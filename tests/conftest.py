@@ -145,6 +145,7 @@ _EL_PIECES = [
     "0", "1", "2", "3", "7", "10", "0012", "1023", "12345", "99999",
     " ", "  ", "\t", "\x1f", "\n", "\n", "\r", "\r\n", "\v", "\f", "\x1c",
     "#", "# n ", "+", "-", "_", "n", "a", "x",
+    ".", "e", "1.0", "\x00", "\x1d", "\x1e", "99999999999999999999", " # ", "-1", "5 5",
 ]
 
 

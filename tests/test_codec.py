@@ -197,6 +197,7 @@ def test_edge_list_duplicate_pairs_counted_once():
 @example("# one\n#\n  # n 3\n", None)  # comments only
 @example("# n 9\n0 1\n", 4)  # an explicit n wins over the header
 @example("0 5\n", 3)
+@example("1 2 3\n4 5 6\n", None)  # tokens pair up across lines, no line holds two
 def test_edge_list_matches_reference(data, n):
     """Same graph, or the same error class, message and line."""
     assert _decode_outcome(bt.from_edge_list_text, data, n) == _decode_outcome(
