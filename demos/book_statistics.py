@@ -46,7 +46,7 @@ def main():
     rng = random.Random(0)
     for trial in range(3):
         n = rng.randint(8, 16)
-        g = bt.new_graph(n)
+        g = bt.Graph(n)
         for u in range(n):
             for v in range(u + 1, n):
                 if rng.random() < 0.4:

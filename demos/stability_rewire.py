@@ -60,7 +60,7 @@ def main():
         for u, v in edges:
             if v in adj[u] and adj[u] & adj[v]:
                 adj[u].discard(v); adj[v].discard(u)
-        g = bt.new_graph(n)
+        g = bt.Graph(n)
         for u in range(n):
             for v in adj[u]:
                 if v > u:

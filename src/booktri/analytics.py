@@ -28,10 +28,6 @@ class TriangleStats:
     count: int
     n: int
 
-    @property
-    def density(self) -> float:
-        return self.count / self.n**3
-
     def density_str(self) -> str:
         # fixed 12 decimals so report files are byte-stable
         return f"{self.count / self.n**3:.12f}"
@@ -132,11 +128,6 @@ def book_profile(g: Graph) -> BookProfile:
         c = book[cls[u], cls[v]]
     per_edge = dict(zip(zip(u.tolist(), v.tolist()), c.tolist()))
     return BookProfile(per_edge=per_edge, max_edge=max_edge, max_size=max_size)
-
-
-def book_histogram(g: Graph) -> dict[int, int]:
-    """Map book size -> number of edges with that size."""
-    return {size: k for size, k in enumerate(_groups(g)[3].tolist()) if k}
 
 
 def max_book(g: Graph) -> int:

@@ -201,7 +201,7 @@ def _cmd_stability(args) -> int:
     g = _load_graph(args.input)
     report = stability_partition(g)
     _dump(report.to_json_dict(), args.format, args.out)
-    if args.rewire:
+    if args.rewire or args.rewire_out:
         _emit(to_graph6(_rewire(g, report)) + "\n", args.rewire_out)
     return EXIT_OK
 
@@ -253,7 +253,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("input", help="graph file (.g6 or .el)")
     sp.add_argument("--rewire", action="store_true",
                     help="also emit the bipartized graph as graph6")
-    sp.add_argument("--rewire-out", default=None)
+    sp.add_argument("--rewire-out", default=None, help="write that graph6 here (implies --rewire)")
     common(sp)
     sp.set_defaults(fn=_cmd_stability)
     return p
@@ -265,7 +265,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         _check_out(args.out)
         _check_out(getattr(args, "graph_out", None))
-        _check_out(args.rewire_out if getattr(args, "rewire", False) else None)
+        _check_out(getattr(args, "rewire_out", None))
         return args.fn(args)
     except BooktriError as exc:
         print(f"{_LABELS[exc.exit_code]}: {exc}", file=sys.stderr)

@@ -88,10 +88,6 @@ class Graph:
         self._check_pair(u, v)
         return bool((self.adj[u] >> v) & 1)
 
-    def neighbors(self, v: int) -> list[int]:
-        self._check_vertex(v)
-        return list(_bits(self.adj[v]))
-
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield edges as (u, v) with u < v, in lexicographic order."""
         for u in range(self.n):
@@ -129,11 +125,6 @@ def _set_row_bits(g: Graph, bits: np.ndarray) -> Graph:
     buf, width = packed.tobytes(), packed.shape[1]
     g.adj = [int.from_bytes(buf[i:i + width], "little") for i in range(0, len(buf), width)]
     return g
-
-
-def new_graph(n: int) -> Graph:
-    """Empty graph on n vertices (1 <= n <= 1024)."""
-    return Graph(n)
 
 
 def _blowup(weights: list[int], pattern: list[tuple[int, int]]) -> Graph:

@@ -30,22 +30,6 @@ class Partition:
     cross_edges: int
     internal_edges: int
 
-    @classmethod
-    def from_mask(cls, g: Graph, y_mask: int) -> "Partition":
-        if not 0 <= y_mask < 1 << g.n:
-            raise ParameterError(f"side mask {y_mask} outside 0..2^{g.n}-1")
-        internal = _inside(g, y_mask) + _inside(g, ((1 << g.n) - 1) ^ y_mask)
-        return cls(
-            n=g.n,
-            y_mask=y_mask,
-            cross_edges=g.m - internal,
-            internal_edges=internal,
-        )
-
-    def side(self, v: int) -> bool:
-        """False for X, True for Y."""
-        return bool((self.y_mask >> v) & 1)
-
     def sides(self) -> tuple[list[int], list[int]]:
         xs = [v for v in range(self.n) if not (self.y_mask >> v) & 1]
         ys = list(_bits(self.y_mask))
@@ -75,7 +59,7 @@ class StabilityReport:
             "k": self.deficit_k,
             "internal_x": self.internal_x,
             "internal_y": self.internal_y,
-            "sides": [1 if self.partition.side(v) else 0 for v in range(self.n)],
+            "sides": [(self.partition.y_mask >> v) & 1 for v in range(self.n)],
         }
 
 

@@ -28,10 +28,22 @@ def enumerate_fixed_edges(n: int, e: int):
     """
     bt.search._guard(n, e)
     for combo in combinations(combinations(range(n), 2), e):
-        g = bt.new_graph(n)
+        g = bt.Graph(n)
         for u, v in combo:
             g.add_edge(u, v)
         yield g
+
+
+def bits_of(row: int) -> list[int]:
+    """The set bit positions of a row, lowest first."""
+    return [v for v in range(row.bit_length()) if (row >> v) & 1]
+
+
+def partition_of(g: bt.Graph, y_mask: int) -> bt.Partition:
+    """The split of g with side Y = y_mask, its edges counted pair by pair."""
+    edges = list(g.edges())
+    internal = sum(((y_mask >> u) & 1) == ((y_mask >> v) & 1) for u, v in edges)
+    return bt.Partition(g.n, y_mask, len(edges) - internal, internal)
 
 
 def adjacency_sets(g: bt.Graph) -> list[set[int]]:
@@ -64,7 +76,7 @@ def brute_max_book(g: bt.Graph) -> int:
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> bt.Graph:
-    g = bt.new_graph(n)
+    g = bt.Graph(n)
     for u in range(n):
         for v in range(u + 1, n):
             if rng.random() < p:
@@ -89,7 +101,7 @@ def random_triangle_free(rng: random.Random, n: int, p: float) -> bt.Graph:
         if adj[u] >> v & 1 and adj[u] & adj[v]:
             adj[u] ^= 1 << v
             adj[v] ^= 1 << u
-    g = bt.new_graph(n)
+    g = bt.Graph(n)
     g.adj = adj
     return g
 
@@ -110,7 +122,7 @@ def graphs(draw, max_n: int) -> bt.Graph:
     an edge when its bit of one drawn integer is set."""
     n = draw(st.integers(1, max_n))
     mask = draw(st.integers(0, (1 << n * (n - 1) // 2) - 1))
-    g = bt.new_graph(n)
+    g = bt.Graph(n)
     for k, (u, v) in enumerate(combinations(range(n), 2)):
         if (mask >> k) & 1:
             g.add_edge(u, v)
@@ -363,7 +375,7 @@ def anneal_reference(n: int, e: int, params: bt.AnnealParams) -> bt.FrontierReco
         g = None
         for _ in range(200):
             chosen = rng.choice(slots, size=e, replace=False)
-            cand = bt.new_graph(n)
+            cand = bt.Graph(n)
             for idx in chosen:
                 cand.add_edge(*slots_list[int(idx)])
             if brute_max_book(cand) < params.book_cap:

@@ -195,9 +195,9 @@ def test_criterion_7_local_max_cut_contract():
         n = rng.randint(2, 64)
         g = random_graph(rng, n, rng.random())
         part = bt.local_max_cut(g)  # asserts its own bound of m improving passes
-        adj = adjacency_sets(g)
+        adj, side = adjacency_sets(g), [(part.y_mask >> v) & 1 for v in range(n)]
         for v in range(n):
-            same = sum(1 for w in adj[v] if part.side(w) == part.side(v))
+            same = sum(1 for w in adj[v] if side[w] == side[v])
             if len(adj[v]) - same < same:
                 violations += 1
                 break

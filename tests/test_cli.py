@@ -553,6 +553,22 @@ def test_stability_rewire_identity(graph_files, tmp_path, capsys):
     assert bt.from_graph6(out.read_text().strip()) == bt.complete_bipartite(4, 4)
 
 
+def test_rewire_out_implies_rewire(graph_files, tmp_path, capsys):
+    """--rewire-out alone writes the rewire that --rewire --rewire-out writes,
+    with the same report on stdout."""
+    alone, both = tmp_path / "alone.g6", tmp_path / "both.g6"
+    assert main(["stability", graph_files["C5"], "--rewire-out", str(alone)]) == 0
+    report = capsys.readouterr().out
+    assert main(["stability", graph_files["C5"], "--rewire", "--rewire-out", str(both)]) == 0
+    assert capsys.readouterr().out == report
+    expected = bt.to_graph6(bt.bipartize_rewire(cycle(5))) + "\n"
+    assert alone.read_text() == both.read_text() == expected
+    # and its path is checked before any work, as --rewire's is
+    assert main(["stability", graph_files["C5"], "--rewire-out", str(tmp_path / "no" / "rw.g6")]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_outputs_match_library_serialization(graph_files, tmp_path):
     out = tmp_path / "rep.json"
     assert main(["analyze", graph_files["K5"], "--out", str(out)]) == 0

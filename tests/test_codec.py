@@ -20,7 +20,7 @@ from conftest import (
 
 def test_empty5_encoding():
     # hand-encoded: header 'D' (5+63), ten zero bits -> two all-zero groups
-    assert bt.to_graph6(bt.new_graph(5)) == "D??"
+    assert bt.to_graph6(bt.Graph(5)) == "D??"
 
 
 def test_k5_encoding():

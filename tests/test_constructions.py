@@ -241,7 +241,7 @@ def test_blowup_closed_forms_match_brute_force(case):
     assert r.predicted_t == brute_triangle_count(r.graph)
     assert r.predicted_b == brute_max_book(r.graph)
     starts = list(accumulate(weights, initial=0))
-    pairwise = bt.new_graph(sum(weights))
+    pairwise = bt.Graph(sum(weights))
     for i, j in pattern:
         for u in range(starts[i], starts[i + 1]):
             for v in range(starts[j], starts[j + 1]):

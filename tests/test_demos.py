@@ -1,4 +1,5 @@
-"""Every script in demos/ runs to completion against this checkout."""
+"""Every script in demos/, and README's library tour, runs to completion
+against this checkout."""
 
 import os
 import subprocess
@@ -20,3 +21,11 @@ def test_demo_runs(script):
     )
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stdout + proc.stderr
+
+
+def test_readme_tour_runs():
+    """README's first python block, the library tour, runs as pasted."""
+    tour = (ROOT / "README.md").read_text().split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(tour, namespace)
+    assert namespace["bipartite"].m == namespace["c5"].m + namespace["sr"].internal_x == 6
