@@ -51,7 +51,7 @@ def main():
             for v in range(u + 1, n):
                 if rng.random() < 0.4:
                     g.add_edge(u, v)
-        t = bt.triangle_count(g).count
+        t = bt.triangle_count(g)
         s = sum(bt.book_profile(g).per_edge.values()) if g.m else 0
         print(f"  n={n}, m={g.m}: sum(books)={s}, 3t={3 * t}, equal={s == 3 * t}")
 

@@ -41,7 +41,7 @@ def main():
     print(f"\nWitnesses for n={n} re-verified from graph6:")
     for (b, t), w in zip(rec.pareto, rec.witnesses):
         g = bt.from_graph6(w)
-        print(f"  {w:12s} -> t={bt.triangle_count(g).count}, b={bt.max_book(g)} "
+        print(f"  {w:12s} -> t={bt.triangle_count(g)}, b={bt.max_book(g)} "
               f"(recorded t={t}, b={b})")
 
     print("\nMinimum t as the book cap rises (non-increasing by definition):")

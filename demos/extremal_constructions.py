@@ -18,7 +18,7 @@ import booktri as bt
 
 def check(report):
     ok = bt.predicted_vs_actual(report)
-    t = bt.triangle_count(report.graph).count
+    t = bt.triangle_count(report.graph)
     b = bt.max_book(report.graph)
     return t, b, "ok" if ok else "MISMATCH"
 

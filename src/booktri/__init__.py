@@ -5,7 +5,6 @@ and exhaustive/heuristic search over the (max book, triangle count) plane.
 
 from .analytics import (
     BookProfile,
-    TriangleStats,
     analyze_report,
     book_profile,
     book_size,
@@ -79,7 +78,6 @@ __all__ = [
     "Partition",
     "StabilityReport",
     "SweepEntry",
-    "TriangleStats",
     "alpha_sweep",
     "analyze_report",
     "anneal_min_triangles",

@@ -2,11 +2,12 @@
 
 The book of an edge is the set of triangles through it; its size equals the
 number of common neighbors of the endpoints.  Everything here is a pure
-function of an immutable graph.  Every whole-graph statistic reads one
-kernel, ``_codegree_chunks``: edge uv's book is (A^2)_uv, read off a float32
-Gram product as groups of edges that share a book, one per adjacent pair of
-twin classes or one per edge; only book_profile lists every edge.  That is
-exact: terms are 0 or 1, so every partial sum is an integer <= n < 2^24.
+function of an immutable graph.  Edge uv's book is (A^2)_uv, read off a
+float32 Gram product.  Every whole-graph statistic but book_profile reads
+``_codegree_chunks``, groups of edges that share a book, one per adjacent
+pair of twin classes or one per edge; book_profile lists every edge off the
+row product, ``_row_chunks``.  That is exact: terms are 0 or 1, so every
+partial sum is an integer <= n < 2^24.
 """
 
 from __future__ import annotations
@@ -19,18 +20,6 @@ from .errors import EmptyGraphError, LoopError, MissingEdgeError
 from .graph import Graph, _row_bits
 
 _BLOCK = 128  # rows per row-product block, and most twin classes for the class product
-
-
-@dataclass(frozen=True)
-class TriangleStats:
-    """Total triangle count plus its density relative to n^3."""
-
-    count: int
-    n: int
-
-    def density_str(self) -> str:
-        # fixed 12 decimals so report files are byte-stable
-        return f"{self.count / self.n**3:.12f}"
 
 
 @dataclass(frozen=True)
@@ -75,8 +64,8 @@ def _codegree_chunks(g: Graph):
     rows, never adjacent) have equal books, so a graph of more than one block
     with k <= _BLOCK twin classes takes one k x k product over a row per class
     (k^2 n terms, no more than the row product's first block) and yields one
-    chunk, a group per adjacent pair of classes.  Any other graph yields one
-    chunk per block of _BLOCK rows, a group per edge, with w None."""
+    chunk, a group per adjacent pair of classes.  Any other graph takes
+    _row_chunks."""
     if _BLOCK < g.n and len(set(g.adj)) <= _BLOCK:
         reps, size = np.unique(_leads(g), return_counts=True)
         a = _row_bits([g.adj[v] for v in reps.tolist()], g.n)  # one row per class
@@ -84,6 +73,12 @@ def _codegree_chunks(g: Graph):
         a = a.astype(np.float32)
         yield reps[i], reps[j], (a @ a.T)[i, j].astype(np.int64), size[i] * size[j]
         return
+    yield from _row_chunks(g)
+
+
+def _row_chunks(g: Graph):
+    """Every edge u < v as a group of one, lazily: one chunk (u, v, c, None)
+    per block of _BLOCK rows, edges in lexicographic order."""
     bits = _row_bits(g.adj, g.n)
     a, order = bits.astype(np.float32), np.arange(g.n)
     for r in range(0, g.n, _BLOCK):
@@ -109,23 +104,18 @@ def _t_and_b(hist: np.ndarray) -> tuple[int, int]:
     return total // 3, max(hist.size - 1, 0)
 
 
-def triangle_count(g: Graph) -> TriangleStats:
+def triangle_count(g: Graph) -> int:
     """Exact triangle count via the book histogram (sum of s * hist[s] = 3t)."""
-    return TriangleStats(count=_t_and_b(_groups(g)[3])[0], n=g.n)
+    return _t_and_b(_groups(g)[3])[0]
 
 
 def book_profile(g: Graph) -> BookProfile:
     if not any(g.adj):
         raise EmptyGraphError("book profile of an edgeless graph is undefined")
-    u, v, c, hist = _groups(g)
-    i = int(c.argmax())  # first max, and groups are in first-edge order, so ties go low
+    u, v, c, _ = zip(*_row_chunks(g))
+    u, v, c = map(np.concatenate, (u, v, c))
+    i = int(c.argmax())  # first max, so a tie goes to the lowest edge
     max_edge, max_size = (int(u[i]), int(v[i])), int(c[i])
-    if c.size < hist.sum():  # each edge takes the book of its two classes' group
-        reps, cls = np.unique(_leads(g), return_inverse=True)
-        book = np.zeros((reps.size, reps.size), np.int64)
-        book[cls[u], cls[v]] = book[cls[v], cls[u]] = c  # first edges join class leads
-        u, v = np.divmod(np.flatnonzero(np.triu(_row_bits(g.adj, g.n))), g.n)
-        c = book[cls[u], cls[v]]
     per_edge = dict(zip(zip(u.tolist(), v.tolist()), c.tolist()))
     return BookProfile(per_edge=per_edge, max_edge=max_edge, max_size=max_size)
 

@@ -29,7 +29,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .analytics import TriangleStats, _groups, _t_and_b
+from .analytics import _groups, _t_and_b
 from .codec import to_graph6
 from .errors import ParameterError
 from .graph import Graph, _blowup
@@ -93,7 +93,7 @@ class ConstructionReport:
             "predicted_b": self.predicted_b,
             "measured_t": t,
             "measured_b": b,
-            "t_density": TriangleStats(count=t, n=self.n).density_str(),
+            "t_density": f"{t / self.n**3:.12f}",  # fixed 12 decimals: byte-stable files
             "graph6": to_graph6(self.graph),
         }
 

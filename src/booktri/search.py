@@ -71,14 +71,13 @@ _BLOCK = 1 << 13
 
 
 def _guard(n: int, e: int) -> int:
-    if n < 1:
-        raise ParameterError(f"vertex count {n} must be at least 1")
-    slots = math.comb(n, 2)
     if n > EXHAUSTIVE_VERTEX_LIMIT:
         raise ExplosionGuardError(
             f"refusing exhaustive enumeration at n={n} > {EXHAUSTIVE_VERTEX_LIMIT} "
-            f"(C({slots},{e}) graphs)"
+            f"(C({math.comb(n, 2)},{e}) graphs)"
         )
+    Graph(n)  # refuses n < 1 as the other two searches do
+    slots = math.comb(n, 2)
     if not 0 <= e <= slots:
         raise ParameterError(f"edge count {e} outside 0..{slots} for n={n}")
     return slots

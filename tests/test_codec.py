@@ -51,6 +51,12 @@ def test_parse_error_catalogue():
         bt.from_graph6("D?~")  # n=5 leaves 2 padding bits; both set here
     with pytest.raises(bt.Graph6ParseError):
         bt.from_graph6("~B")  # truncated extended count
+    with pytest.raises(bt.Graph6ParseError, match="vertex count exceeds supported range$") as exc:
+        bt.from_graph6(b"~~??????")  # the 8-byte count form
+    assert exc.value.offset == 1
+    with pytest.raises(bt.Graph6ParseError, match="invalid count byte 0x21$") as exc:
+        bt.from_graph6(b"~?A!")  # a count byte below 63
+    assert exc.value.offset == 3
 
 
 @pytest.mark.parametrize(
@@ -140,6 +146,8 @@ def _decode_outcome(decode, *args):
 @example(b"D?~")  # both padding bits set
 @example(b"D?\x07")  # non-printable payload byte
 @example(b"~??~" + b"?" * 10)  # n = 63 with a short payload
+@example(b"~~??????")  # the 8-byte count form
+@example(b"~?A!")  # a count byte below 63
 def test_graph6_decode_matches_reference(data):
     """Same graph, or the same error class, message and offset."""
     assert _decode_outcome(bt.from_graph6, data) == _decode_outcome(

@@ -55,7 +55,7 @@ def test_remove_edge():
 def test_complete_bipartite_counts():
     g = bt.complete_bipartite(5, 5)
     assert g.m == 25
-    assert bt.triangle_count(g).count == 0
+    assert bt.triangle_count(g) == 0
     assert bt.complete_bipartite(1, 1).m == 1
     assert bt.complete_bipartite(3, 4).m == 12
 
@@ -77,7 +77,7 @@ def test_complete_bipartite_errors():
 
 def test_from_edge_list():
     g = bt.from_edge_list(3, [(0, 1), (1, 2), (0, 2)])
-    assert g.m == 3 and bt.triangle_count(g).count == 1
+    assert g.m == 3 and bt.triangle_count(g) == 1
     assert bt.from_edge_list(4, []).m == 0
     assert bt.from_edge_list(3, [(0, 1), (0, 1)]).m == 1
 

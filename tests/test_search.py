@@ -159,7 +159,7 @@ def test_witnesses_reverify():
     for (b, t), w in zip(record.pareto, record.witnesses):
         g = bt.from_graph6(w)
         assert g.m == 10
-        assert bt.triangle_count(g).count == t
+        assert bt.triangle_count(g) == t
         assert bt.max_book(g) == b
 
 
@@ -312,9 +312,9 @@ def test_scan_guard():
 
 def test_scan_rejects_nonpositive_n():
     for n in (-1, 0):
-        with pytest.raises(bt.ParameterError):
+        with pytest.raises(bt.GraphSizeError):
             bt.extremal_scan(n, 0)
-        with pytest.raises(bt.ParameterError):
+        with pytest.raises(bt.GraphSizeError):
             list(enumerate_fixed_edges(n, 0))
 
 
@@ -366,6 +366,11 @@ def test_anneal_init_validation():
     init = bt.complete_bipartite(3, 3)
     with pytest.raises(bt.ParameterError):
         bt.anneal_min_triangles(6, 10, bt.AnnealParams(book_cap=7, budget=10, seed=1, init=init))
+    with pytest.raises(bt.ParameterError, match=r"^edge count 16 outside 0\.\.15 for n=6$"):
+        bt.anneal_min_triangles(6, 16, bt.AnnealParams(book_cap=7, budget=10, seed=1))
+    wide = bt.complete_bipartite(3, 4)
+    with pytest.raises(bt.ParameterError, match=r"^init has 7 vertices, expected 6$"):
+        bt.anneal_min_triangles(6, 12, bt.AnnealParams(book_cap=7, budget=10, seed=1, init=wide))
     dense = bt.rademacher_extremal(6).graph  # b = 3
     with pytest.raises(bt.ParameterError, match=r"^init violates book cap: b=3 >= 3$"):
         bt.anneal_min_triangles(6, 10, bt.AnnealParams(book_cap=3, budget=10, seed=1, init=dense))
@@ -711,6 +716,16 @@ def test_alpha_sweep_high_alpha_density():
     (entry,) = bt.alpha_sweep(40, [Fraction(9, 10)], seed=1, budget=2000)
     assert entry.best_t is not None
     assert abs(entry.best_t / (40 * 40 / 4) - 0.09) <= 0.1
+
+
+def test_alpha_sweep_annealing_beats_families():
+    """At (10, 9/10) the annealing run improves on the best family, so the
+    entry carries its witness, not a family's graph."""
+    assert bt.theorem1_sharp(10, Fraction(9, 10)).predicted_t == 9
+    (entry,) = bt.alpha_sweep(10, ["9/10"], seed=1, budget=1000)
+    assert (entry.source, entry.best_t, entry.b_cap) == ("anneal", 8, 5)
+    report = bt.analyze_report(bt.from_graph6(entry.graph6))
+    assert (report["n"], report["m"], report["t"], report["b"]) == (10, 26, 8, 4)
 
 
 def test_alpha_sweep_range_error():
