@@ -52,7 +52,7 @@ def main():
                 if rng.random() < 0.4:
                     g.add_edge(u, v)
         t = bt.triangle_count(g)
-        s = sum(bt.book_profile(g).per_edge.values()) if g.m else 0
+        s = sum(bt.book_profile(g).values())
         print(f"  n={n}, m={g.m}: sum(books)={s}, 3t={3 * t}, equal={s == 3 * t}")
 
     print("\ngraph6 round trip of K5:", repr(bt.to_graph6(k5)),

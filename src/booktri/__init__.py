@@ -4,7 +4,6 @@ and exhaustive/heuristic search over the (max book, triangle count) plane.
 """
 
 from .analytics import (
-    BookProfile,
     analyze_report,
     book_profile,
     book_size,
@@ -16,7 +15,6 @@ from .analytics import (
 from .codec import from_edge_list_text, from_graph6, to_edge_list, to_graph6
 from .constructions import (
     ConstructionReport,
-    as_alpha,
     edwards_generalized,
     predicted_vs_actual,
     rademacher_extremal,
@@ -27,7 +25,6 @@ from .errors import (
     BooktriError,
     BoundsError,
     EdgeListParseError,
-    EmptyGraphError,
     ExplosionGuardError,
     Graph6ParseError,
     GraphSizeError,
@@ -51,7 +48,6 @@ from .search import (
     alpha_sweep,
     anneal_min_triangles,
     extremal_scan,
-    pareto_min,
     sweep_to_csv,
 )
 
@@ -59,12 +55,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnnealParams",
-    "BookProfile",
     "BooktriError",
     "BoundsError",
     "ConstructionReport",
     "EdgeListParseError",
-    "EmptyGraphError",
     "ExplosionGuardError",
     "FrontierRecord",
     "Graph",
@@ -81,7 +75,6 @@ __all__ = [
     "alpha_sweep",
     "analyze_report",
     "anneal_min_triangles",
-    "as_alpha",
     "bipartize_rewire",
     "book_profile",
     "book_size",
@@ -95,7 +88,6 @@ __all__ = [
     "from_graph6",
     "local_max_cut",
     "max_book",
-    "pareto_min",
     "predicted_vs_actual",
     "rademacher_extremal",
     "stability_partition",

@@ -12,27 +12,12 @@ partial sum is an integer <= n < 2^24.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import EmptyGraphError, LoopError, MissingEdgeError
+from .errors import LoopError, MissingEdgeError
 from .graph import Graph, _row_bits
 
 _BLOCK = 128  # rows per row-product block, and most twin classes for the class product
-
-
-@dataclass(frozen=True)
-class BookProfile:
-    """Per-edge book sizes with the maximizing edge.
-
-    max_edge is the lexicographically smallest edge attaining max_size, so
-    profiles of equal graphs are identical.
-    """
-
-    per_edge: dict[tuple[int, int], int]
-    max_edge: tuple[int, int]
-    max_size: int
 
 
 def codegree(g: Graph, u: int, v: int) -> int:
@@ -109,15 +94,12 @@ def triangle_count(g: Graph) -> int:
     return _t_and_b(_groups(g)[3])[0]
 
 
-def book_profile(g: Graph) -> BookProfile:
-    if not any(g.adj):
-        raise EmptyGraphError("book profile of an edgeless graph is undefined")
+def book_profile(g: Graph) -> dict[tuple[int, int], int]:
+    """Every edge's book as {(u, v): book}, u < v in lexicographic order;
+    {} for an edgeless graph."""
     u, v, c, _ = zip(*_row_chunks(g))
     u, v, c = map(np.concatenate, (u, v, c))
-    i = int(c.argmax())  # first max, so a tie goes to the lowest edge
-    max_edge, max_size = (int(u[i]), int(v[i])), int(c[i])
-    per_edge = dict(zip(zip(u.tolist(), v.tolist()), c.tolist()))
-    return BookProfile(per_edge=per_edge, max_edge=max_edge, max_size=max_size)
+    return dict(zip(zip(u.tolist(), v.tolist()), c.tolist()))
 
 
 def max_book(g: Graph) -> int:

@@ -199,9 +199,9 @@ def _parse_line(raw: str, lineno: int, n: int | None) -> tuple[int | None, tuple
     return n, (u, v)
 
 
-def from_edge_list_text(text: str | bytes, n: int | None = None) -> Graph:
-    """Parse edge-list text, ASCII only.  n falls back to the first "# n"
-    comment, then max index + 1.
+def from_edge_list_text(text: str | bytes) -> Graph:
+    """Parse edge-list text, ASCII only.  The vertex count is the first
+    "# n" comment's, else max index + 1.
 
     Lines and tokens are those of str.splitlines and str.split.  A line of
     two tokens of one to four digits is decoded in one numpy pass over the
@@ -235,7 +235,7 @@ def from_edge_list_text(text: str | bytes, n: int | None = None) -> Graph:
     slow_lines = count.nonzero()[0]
     lo = starts[first[slow_lines]]
     hi = ends[edges[slow_lines + 1] - 1]
-    pairs = []
+    n, pairs = None, []
     for li, a, b in zip(slow_lines.tolist(), lo.tolist(), hi.tolist()):
         n, got = _parse_line(data[a:b].decode("ascii"), li + 1, n)
         if got is not None:
@@ -244,9 +244,9 @@ def from_edge_list_text(text: str | bytes, n: int | None = None) -> Graph:
 
     if n is None:
         n = maxv + 1 if maxv >= 0 else 1
+    g = Graph(n)  # refuses a bad count before any vertex is checked against it
     if maxv >= n:
         raise EdgeListParseError(f"vertex {maxv} outside declared count {n}", 0)
-    g = Graph(n)  # refuses a bad count before the matrix is allocated
     us, vs = np.concatenate((uv, np.array(pairs, dtype=np.intp).reshape(-1, 2))).T
     matrix = np.zeros((n, n), dtype=bool)
     matrix[us, vs] = matrix[vs, us] = True

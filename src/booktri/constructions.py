@@ -34,23 +34,13 @@ from .codec import to_graph6
 from .errors import ParameterError
 from .graph import Graph, _blowup
 
-__all__ = [
-    "ConstructionReport",
-    "rademacher_extremal",
-    "theorem1_sharp",
-    "edwards_generalized",
-    "predicted_vs_actual",
-    "as_alpha",
-    "strict_book_cap",
-]
-
 
 def as_alpha(value) -> Fraction:
     """Coerce an exact rational ('7/10', Fraction, int); floats and decimal
     strings are refused so no caller can smuggle in rounding drift."""
     if isinstance(value, float):
         raise ParameterError("alpha must be an exact rational, not a float")
-    if isinstance(value, str) and not re.fullmatch(r"\s*-?\d+\s*(/\s*\d+\s*)?", value):
+    if isinstance(value, str) and not re.fullmatch(r"\s*-?\d+(/\d+)?\s*", value):
         raise ParameterError(f"alpha must be written p/q, got {value!r}")
     try:
         return Fraction(value)

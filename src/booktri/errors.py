@@ -34,10 +34,6 @@ class MissingEdgeError(BooktriError, ValueError):
     """Book size queried for a vertex pair that is not an edge."""
 
 
-class EmptyGraphError(BooktriError, ValueError):
-    """Operation requires at least one edge."""
-
-
 class ParameterError(BooktriError, ValueError):
     """Construction or search parameters outside their valid range."""
 

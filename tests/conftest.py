@@ -302,7 +302,7 @@ def graph6_reference_decode(data: str | bytes) -> bt.Graph:
     return g
 
 
-def edge_list_reference(text: str | bytes, n: int | None = None) -> bt.Graph:
+def edge_list_reference(text: str | bytes) -> bt.Graph:
     """The per-line parser the codec replaced, with its ASCII rule in front:
     the first non-ASCII byte or character is refused at its line, every
     line of the ASCII text then goes through str.splitlines, strip and
@@ -318,7 +318,7 @@ def edge_list_reference(text: str | bytes, n: int | None = None) -> bt.Graph:
             line = len((text[:i] + "x").splitlines())
             raise bt.EdgeListParseError(f"non-ASCII character {ch!r}", line)
 
-    pairs = []
+    n, pairs = None, []
     maxv = -1
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -348,6 +348,7 @@ def edge_list_reference(text: str | bytes, n: int | None = None) -> bt.Graph:
 
     if n is None:
         n = maxv + 1 if maxv >= 0 else 1
+    bt.Graph(n)  # a bad count is refused before any vertex is checked against it
     if maxv >= n:
         raise bt.EdgeListParseError(f"vertex {maxv} outside declared count {n}", 0)
     return bt.from_edge_list(n, pairs)
@@ -436,7 +437,7 @@ def anneal_reference(n: int, e: int, params: bt.AnnealParams) -> bt.FrontierReco
             g.add_edge(*slots_list[rem_slot])
         temp *= params.decay
 
-    frontier = bt.pareto_min((b, t) for b, (t, _) in best_by_b.items())
+    frontier = bt.search.pareto_min((b, t) for b, (t, _) in best_by_b.items())
     return bt.FrontierRecord(
         n=n,
         e=e,

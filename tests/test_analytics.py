@@ -69,32 +69,32 @@ def test_triangle_density_format():
 
 
 def test_book_profile_k6():
-    prof = bt.book_profile(complete(6))
-    assert prof.max_size == 4
-    assert set(prof.per_edge.values()) == {4}
-    assert len(prof.per_edge) == 15
-    assert prof.max_edge == (0, 1)  # lexicographic tie rule
+    books = bt.book_profile(complete(6))
+    assert set(books.values()) == {4}
+    assert len(books) == 15
+    report = bt.analyze_report(complete(6))
+    assert report["b"] == 4
+    assert report["max_edge"] == [0, 1]  # lexicographic tie rule
 
 
 def test_book_profile_constructions():
-    prof = bt.book_profile(bt.rademacher_extremal(12).graph)
-    assert prof.max_size == 6 and prof.max_edge == (0, 1)
-    prof = bt.book_profile(bt.theorem1_sharp(20, "7/10").graph)
-    assert prof.max_size == 6
+    g = bt.rademacher_extremal(12).graph
+    report = bt.analyze_report(g)
+    assert report["b"] == 6 and report["max_edge"] == [0, 1]
+    assert max(bt.book_profile(g).values()) == 6
+    g = bt.theorem1_sharp(20, "7/10").graph
+    assert bt.analyze_report(g)["b"] == max(bt.book_profile(g).values()) == 6
 
 
 def test_book_profile_matches_brute_force():
     rng = random.Random(31)
     for _ in range(60):
         g = random_graph(rng, rng.randint(2, 24), rng.random())
-        if g.m == 0:
-            continue
-        assert bt.book_profile(g).per_edge == brute_book_sizes(g)
+        assert bt.book_profile(g) == brute_book_sizes(g)
 
 
 def test_book_profile_empty_graph():
-    with pytest.raises(bt.EmptyGraphError):
-        bt.book_profile(bt.Graph(4))
+    assert bt.book_profile(bt.Graph(4)) == {}
 
 
 def test_histogram_known_values():
@@ -117,10 +117,7 @@ def test_handshake_identity():
     for _ in range(400):
         g = random_graph(rng, rng.randint(1, 32), rng.random())
         t = bt.triangle_count(g)
-        if g.m:
-            assert sum(bt.book_profile(g).per_edge.values()) == 3 * t
-        else:
-            assert t == 0
+        assert sum(bt.book_profile(g).values()) == 3 * t
 
 
 def test_oracle_equivalence():
@@ -194,7 +191,7 @@ def test_find_triangle():
 def _first_triangle_full_kernel(g):
     """find_triangle's witness read off every edge's book, as book_profile
     lists them: the first edge with a common neighbour, and its lowest one."""
-    books = bt.book_profile(g).per_edge if g.m else {}
+    books = bt.book_profile(g)
     hit = [edge for edge, c in books.items() if c]
     if not hit:
         return None
@@ -269,10 +266,9 @@ def _assert_kernel_matches_oracles(g):
         for r, (cu, _, _, w) in zip(range(0, g.n, block), chunks):
             assert ((r <= cu) & (cu < r + block)).all() and w is None
     edges = list(g.edges())
-    if edges:
-        per_edge = bt.book_profile(g).per_edge
-        assert list(per_edge) == edges
-        assert list(per_edge.values()) == [(g.adj[x] & g.adj[y]).bit_count() for x, y in edges]
+    books = bt.book_profile(g)
+    assert list(books) == edges
+    assert list(books.values()) == [(g.adj[x] & g.adj[y]).bit_count() for x, y in edges]
     assert bt.find_triangle(g) == _first_triangle_full_kernel(g) == _first_triangle_brute(g)
 
 
@@ -461,12 +457,11 @@ def test_kernel_matches_brute_oracles(g):
     assert bt.analyze_report(g)["histogram"] == {str(s): k for s, k in sorted(Counter(books.values()).items())}
     report = bt.analyze_report(g)
     assert (report["n"], report["m"], report["t"]) == (g.n, g.m, t)
+    assert bt.book_profile(g) == books
     if g.m:
-        profile = bt.book_profile(g)
-        assert profile.per_edge == books
-        first_max = min(e for e, c in books.items() if c == profile.max_size)
-        assert profile.max_edge == first_max and profile.max_size == brute_max_book(g)
-        assert report["b"] == profile.max_size and report["max_edge"] == list(first_max)
+        top = brute_max_book(g)
+        first_max = min(e for e, c in books.items() if c == top)
+        assert report["b"] == top and report["max_edge"] == list(first_max)
     else:
         assert report["b"] is None and report["histogram"] == {}
     tri = bt.find_triangle(g)

@@ -69,6 +69,16 @@ def test_analyze_non_ascii_edge_list_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err == "parse error: line 3: non-ASCII byte 0xe9\n"
 
 
+@pytest.mark.parametrize("text,count", [("# n -3\n", -3), ("# n 2000\n0 3000\n", 2000)])
+def test_analyze_edge_list_bad_count_exits_1(tmp_path, capsys, text, count):
+    """A header count outside 1..1024 is refused as a count, whatever the
+    edges, never as a vertex outside it."""
+    p = tmp_path / "bad.el"
+    p.write_text(text)
+    assert main(["analyze", str(p)]) == 1
+    assert capsys.readouterr().err == f"error: vertex count {count} outside 1..1024\n"
+
+
 @pytest.mark.parametrize("name", ["dir.g6", "missing.g6", "file.el/inner.el"])
 def test_analyze_unreadable_path_exits_1(tmp_path, capsys, name):
     (tmp_path / "dir.g6").mkdir()

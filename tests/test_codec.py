@@ -193,21 +193,21 @@ def test_edge_list_duplicate_pairs_counted_once():
 
 
 @settings(deadline=None, max_examples=500)
-@given(edge_list_like(), st.one_of(st.none(), st.integers(-1, 14)))
-@example(b"# n 4\r\n0 1\r\n\r\n2 x\r\n", None)  # CRLF ends one line
-@example("0 1\n# n 5\n", None)  # the header may follow the edges
-@example("# n 5\n# n 3\n0 4\n# n x\n", None)  # only the first header counts
-@example("0 1\n2 2\n# n x\n", None)  # the self-loop comes first
-@example("0 1\n# n x\n2 2\n", None)  # the bad header comes first
-@example("1 2\n+3 3\n4 4\n", None)  # a self-loop read by int()
-@example("", None)
-@example(b"", None)
-@example("# one\n#\n  # n 3\n", None)  # comments only
-@example("# n 9\n0 1\n", 4)  # an explicit n wins over the header
-@example("0 5\n", 3)
-@example("1 2 3\n4 5 6\n", None)  # tokens pair up across lines, no line holds two
-def test_edge_list_matches_reference(data, n):
+@given(edge_list_like())
+@example(b"# n 4\r\n0 1\r\n\r\n2 x\r\n")  # CRLF ends one line
+@example("0 1\n# n 5\n")  # the header may follow the edges
+@example("# n 5\n# n 3\n0 4\n# n x\n")  # only the first header counts
+@example("0 1\n2 2\n# n x\n")  # the self-loop comes first
+@example("0 1\n# n x\n2 2\n")  # the bad header comes first
+@example("1 2\n+3 3\n4 4\n")  # a self-loop read by int()
+@example("")
+@example(b"")
+@example("# one\n#\n  # n 3\n")  # comments only
+@example("1 2 3\n4 5 6\n")  # tokens pair up across lines, no line holds two
+@example("# n -3\n")  # a count below 1 is a bad count, not a missing vertex
+@example("# n 2000\n0 3000\n")  # and so is one above the cap, whatever the edges
+def test_edge_list_matches_reference(data):
     """Same graph, or the same error class, message and line."""
-    assert _decode_outcome(bt.from_edge_list_text, data, n) == _decode_outcome(
-        edge_list_reference, data, n
+    assert _decode_outcome(bt.from_edge_list_text, data) == _decode_outcome(
+        edge_list_reference, data
     )

@@ -98,6 +98,9 @@ def test_theorem1_errors():
         bt.theorem1_sharp(6, Fraction(7, 10))  # n too small
     with pytest.raises(bt.ParameterError):
         bt.theorem1_sharp(20, 0.7)  # floats refused
+    for spaced in ("7 / 10", "7/ 10"):  # refused by the pattern, not left to Fraction
+        with pytest.raises(bt.ParameterError, match="alpha must be written p/q"):
+            bt.theorem1_sharp(20, spaced)
 
 
 def test_edwards_known_values():

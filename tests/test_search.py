@@ -64,7 +64,7 @@ def _oracle_scan(n, e):
         key = (brute_max_book(g), brute_triangle_count(g))
         if key not in pairs:
             pairs[key] = bt.to_graph6(g)
-    frontier = bt.pareto_min(pairs)
+    frontier = bt.search.pareto_min(pairs)
     return {
         "min_t": min(t for _, t in pairs),
         "min_b": min(b for b, _ in pairs),
