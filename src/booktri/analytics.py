@@ -6,8 +6,9 @@ function of an immutable graph.  Edge uv's book is (A^2)_uv, read off a
 float32 Gram product.  Every whole-graph statistic but book_profile reads
 ``_codegree_chunks``, groups of edges that share a book, one per adjacent
 pair of twin classes or one per edge; book_profile lists every edge off the
-row product, ``_row_chunks``.  That is exact: terms are 0 or 1, so every
-partial sum is an integer <= n < 2^24.
+row product, ``_row_chunks``, and find_triangle reads the row product's
+books block by block, ``_row_blocks``, without listing edges.  That is
+exact: terms are 0 or 1, so every partial sum is an integer <= n < 2^24.
 """
 
 from __future__ import annotations
@@ -42,35 +43,48 @@ def _leads(g: Graph) -> list[int]:
     return [first.setdefault(row, v) for v, row in enumerate(g.adj)]
 
 
+def _class_chunk(g: Graph):
+    """The class product's one chunk, or None if g takes the row product.
+    Twins (equal rows, never adjacent) have equal books, so a graph of more
+    than one block with k <= _BLOCK twin classes takes one k x k product over
+    a row per class (k^2 n terms, no more than the row product's first
+    block), a group per adjacent pair of classes."""
+    if not (_BLOCK < g.n and len(set(g.adj)) <= _BLOCK):
+        return None
+    reps, size = np.unique(_leads(g), return_counts=True)
+    a = _row_bits([g.adj[v] for v in reps.tolist()], g.n)  # one row per class
+    i, j = np.nonzero(np.triu(a[:, reps]))  # adjacent classes, by their leads
+    a = a.astype(np.float32)
+    return reps[i], reps[j], (a @ a.T)[i, j].astype(np.int64), size[i] * size[j]
+
+
 def _codegree_chunks(g: Graph):
-    """The edges u < v as groups (u, v, c, w), lazily, so a caller may stop
-    early: (u, v) is a group's lexicographically first edge, c the book that
-    all its w edges share, and groups come in first-edge order.  Twins (equal
-    rows, never adjacent) have equal books, so a graph of more than one block
-    with k <= _BLOCK twin classes takes one k x k product over a row per class
-    (k^2 n terms, no more than the row product's first block) and yields one
-    chunk, a group per adjacent pair of classes.  Any other graph takes
-    _row_chunks."""
-    if _BLOCK < g.n and len(set(g.adj)) <= _BLOCK:
-        reps, size = np.unique(_leads(g), return_counts=True)
-        a = _row_bits([g.adj[v] for v in reps.tolist()], g.n)  # one row per class
-        i, j = np.nonzero(np.triu(a[:, reps]))  # adjacent classes, by their leads
-        a = a.astype(np.float32)
-        yield reps[i], reps[j], (a @ a.T)[i, j].astype(np.int64), size[i] * size[j]
-        return
-    yield from _row_chunks(g)
+    """The edges u < v as groups (u, v, c, w), so a caller may stop early:
+    (u, v) is a group's lexicographically first edge, c the book that all
+    its w edges share, and groups come in first-edge order.  The class
+    chunk, or else _row_chunks."""
+    chunk = _class_chunk(g)
+    return _row_chunks(g) if chunk is None else iter([chunk])
+
+
+def _row_blocks(g: Graph):
+    """The row product, lazily: per block of _BLOCK rows from r, (r, bits,
+    books), the block's (rows, r:) window of the adjacency matrix and of its
+    float32 Gram product."""
+    bits = _row_bits(g.adj, g.n)
+    a = bits.astype(np.float32)
+    for r in range(0, g.n, _BLOCK):
+        yield r, bits[r:r + _BLOCK, r:], a[r:r + _BLOCK] @ a[:, r:]
 
 
 def _row_chunks(g: Graph):
     """Every edge u < v as a group of one, lazily: one chunk (u, v, c, None)
     per block of _BLOCK rows, edges in lexicographic order."""
-    bits = _row_bits(g.adj, g.n)
-    a, order = bits.astype(np.float32), np.arange(g.n)
-    for r in range(0, g.n, _BLOCK):
-        rows = slice(r, r + _BLOCK)
-        idx = np.flatnonzero(bits[rows, r:] & (order[rows, None] < order[r:]))
+    order = np.arange(g.n)
+    for r, bits, books in _row_blocks(g):
+        idx = np.flatnonzero(bits & (order[r:r + _BLOCK, None] < order[r:]))
         u, v = np.divmod(idx, g.n - r)
-        yield u + r, v + r, (a[rows] @ a[:, r:]).ravel()[idx].astype(np.int64), None
+        yield u + r, v + r, books.ravel()[idx].astype(np.int64), None
 
 
 def _groups(g: Graph) -> tuple:
@@ -108,14 +122,21 @@ def max_book(g: Graph) -> int:
 
 
 def find_triangle(g: Graph) -> tuple[int, int, int] | None:
-    """Some triangle (u, v, w) with u < v < w, or None if triangle-free."""
-    for u, v, c, _ in _codegree_chunks(g):
-        hit = np.flatnonzero(c)
-        if hit.size:  # the first edge with a common neighbour, as groups are ordered
-            x, y = int(u[hit[0]]), int(v[hit[0]])
-            common = g.adj[x] & g.adj[y]
-            w = (common & -common).bit_length() - 1
-            return tuple(sorted((x, y, w)))
+    """Some triangle (u, v, w) with u < v < w, or None if triangle-free: the
+    first edge with a common neighbour, in lexicographic order, closed by its
+    lowest one.  The row path lists no edges: it turns only a block's first
+    such entry in row-major order into (u, v), which has u < v as the
+    matrix is symmetric and loop-free."""
+    chunk = _class_chunk(g)
+    if chunk is None:
+        hits = (tuple(r + x for x in divmod(h, g.n - r)) for r, bits, books in _row_blocks(g)
+                for h in np.flatnonzero(bits & (books > 0))[:1].tolist())
+    else:
+        u, v, c, _ = chunk
+        hits = ((int(u[h]), int(v[h])) for h in np.flatnonzero(c)[:1].tolist())
+    for x, y in hits:  # the first hit ends the search
+        common = g.adj[x] & g.adj[y]
+        return tuple(sorted((x, y, (common & -common).bit_length() - 1)))
     return None
 
 

@@ -11,11 +11,13 @@ order is exactly graph6's bit order.
 The edge-list format is one "u v" pair per line, 0-based.  Lines starting
 with '#' are comments; the writer emits "# n <count>" first so graphs with
 trailing isolated vertices survive a round trip.  The reader takes ASCII
-str or bytes.  It maps every byte to a code with one bytes.translate, finds
-tokens and line breaks (those of str.splitlines, CRLF as one) with numpy,
-and decodes every line of two tokens of at most four digits from one
-little-endian word per token.  Any other non-blank line is read on its own
-with str.split and int(), in line order, so errors name the first bad line.
+str or bytes, in windows of whole lines of at most 64 KiB, so its numpy
+temporaries stay a window's size.  In each window it maps every byte to a
+code with one bytes.translate, finds tokens and line breaks (those of
+str.splitlines, CRLF as one) with numpy, and decodes every line of two
+tokens of at most four digits from one little-endian word per token.  Any
+other non-blank line is read on its own with str.split and int(), in line
+order, so errors name the first bad line.
 """
 
 from __future__ import annotations
@@ -125,6 +127,7 @@ _CODES = bytes(
     else _OTHER
     for b in range(256)
 )
+_WINDOW = 1 << 16  # most bytes of text the numpy pass codes at once
 _WORD = 4  # tokens of 1.._WORD digits are decoded in numpy, one uint32 each
 # the high bytes of a little-endian word that a token of 0.._WORD bytes fills
 _KEEP = np.array([(0xFFFFFFFF << 8 * (_WORD - k)) & 0xFFFFFFFF for k in range(_WORD + 1)],
@@ -199,17 +202,10 @@ def _parse_line(raw: str, lineno: int, n: int | None) -> tuple[int | None, tuple
     return n, (u, v)
 
 
-def from_edge_list_text(text: str | bytes) -> Graph:
-    """Parse edge-list text, ASCII only.  The vertex count is the first
-    "# n" comment's, else max index + 1.
-
-    Lines and tokens are those of str.splitlines and str.split.  A line of
-    two tokens of one to four digits is decoded in one numpy pass over the
-    bytes; every other non-blank line, and the first self-loop, goes through
-    _parse_line in line order, so the first error by line is the one raised.
-    Errors carry a 1-based line, or line 0 for a vertex outside the count.
-    """
-    data = _ascii(text)
+def _window(data: bytes, line: int, n: int | None, uvs: list, pairs: list) -> tuple:
+    """Read one window of whole lines, numbered from line: append the pairs
+    the numpy pass decodes to uvs, and the others to pairs.  Returns n and
+    the number of the line after the window's last break."""
     pad = bytes([_BREAK])
     coded = pad * _WORD + _codes(data) + pad
     code = np.frombuffer(coded, dtype=np.uint8)[_WORD - 1:]  # from the last pad byte
@@ -229,17 +225,41 @@ def from_edge_list_text(text: str | bytes) -> Graph:
     fast_lines, u = two[fast], u[fast]
     uv = values[u[:, None] + (0, 1)]
     loops = (uv[:, 0] == uv[:, 1]).nonzero()[0]
+    uvs.append(uv)
 
     count[fast_lines] = 0  # leaves the lines _parse_line reads,
     count[fast_lines[loops[:1]]] = 2  # and hands it the first self-loop
     slow_lines = count.nonzero()[0]
     lo = starts[first[slow_lines]]
     hi = ends[edges[slow_lines + 1] - 1]
-    n, pairs = None, []
     for li, a, b in zip(slow_lines.tolist(), lo.tolist(), hi.tolist()):
-        n, got = _parse_line(data[a:b].decode("ascii"), li + 1, n)
+        n, got = _parse_line(data[a:b].decode("ascii"), line + li, n)
         if got is not None:
             pairs.append(got)
+    return n, line + len(edges) - 2
+
+
+def from_edge_list_text(text: str | bytes) -> Graph:
+    """Parse edge-list text, ASCII only.  The vertex count is the first
+    "# n" comment's, else max index + 1.
+
+    Lines and tokens are those of str.splitlines and str.split.  The text
+    is read in windows of whole lines, at most _WINDOW bytes each unless a
+    line feed is not in reach (the rest is then one window).  A line of two
+    tokens of one to four digits is decoded in one numpy pass over a
+    window; every other non-blank line, and each window's first self-loop,
+    goes through _parse_line in line order, so the first error by line is
+    the one raised.  Errors carry a 1-based line, or line 0 for a vertex
+    outside the count.
+    """
+    data = _ascii(text)
+    n, line, uvs, pairs, start = None, 1, [], [], 0
+    while start < len(data) or not uvs:
+        cut = data.rfind(b"\n", start, start + _WINDOW) + 1
+        end = cut if cut and start + _WINDOW < len(data) else len(data)
+        n, line = _window(data[start:end], line, n, uvs, pairs)
+        start = end
+    uv = np.concatenate(uvs)
     maxv = max([int(uv.max()) if uv.size else -1, *map(max, pairs)])
 
     if n is None:

@@ -4,9 +4,11 @@ Adjacency rows are Python integers used as n-bit sets, so neighborhood
 intersections are a single ``&`` and common-neighbor counts a single
 ``int.bit_count()``.  The vertex cap keeps rows at a fixed small size
 (1024 bits = 16 machine words).  Whole-graph kernels convert rows to a
-boolean matrix and back.  Twins have equal row ints, so the book kernel finds
-twin classes by hashing the rows and unpacks one row per class; its float32
-Gram product, of all rows or of those, is exact while MAX_VERTICES < 2^24.
+boolean matrix and back, a row crossing as one uint64 when n <= 64 and as
+its little-endian bytes otherwise.  Twins have equal row ints, so the book
+kernel finds twin classes by hashing the rows and unpacks one row per
+class; its float32 Gram product, of all rows or of those, is exact while
+MAX_VERTICES < 2^24.
 The rows are a graph's only state: the edge count is read off them, never
 stored beside them.
 """
@@ -113,14 +115,22 @@ class Graph:
 def _row_bits(rows: list[int], n: int) -> np.ndarray:
     """The (len(rows), n) boolean matrix of n-bit rows: each row is packed
     into ceil(n/64) little-endian words, then unpacked bit by bit."""
-    width = 8 * ((n + 63) // 64)
-    buf = b"".join([row.to_bytes(width, "little") for row in rows])
-    packed = np.frombuffer(buf, dtype=np.uint8).reshape(len(rows), -1)
+    if n <= 64:
+        packed = np.array(rows, dtype="<u8").view(np.uint8).reshape(len(rows), 8)
+    else:
+        width = 8 * ((n + 63) // 64)
+        buf = b"".join([row.to_bytes(width, "little") for row in rows])
+        packed = np.frombuffer(buf, dtype=np.uint8).reshape(len(rows), -1)
     return np.unpackbits(packed, axis=1, count=n, bitorder="little").view(bool)
 
 
 def _set_row_bits(g: Graph, bits: np.ndarray) -> Graph:
     """Fill g's rows from a symmetric loop-free (n, n) boolean matrix."""
+    if g.n <= 64:
+        words = np.zeros((g.n, 64), dtype=bool)
+        words[:, :g.n] = bits
+        g.adj = np.packbits(words, axis=1, bitorder="little").view("<u8").ravel().tolist()
+        return g
     packed = np.packbits(bits, axis=1, bitorder="little")
     buf, width = packed.tobytes(), packed.shape[1]
     g.adj = [int.from_bytes(buf[i:i + width], "little") for i in range(0, len(buf), width)]

@@ -8,8 +8,8 @@ graph with exactly internal_x more edges than the input.  The split is
 measured once, and the rewire is computed from its masks: a bisection per X
 vertex finds its new row, and one ascending sweep over Y sets the new cross
 edges in the Y rows, O(n log n) big-int operations in all.  The split
-reads the edge count (Graph.m) once; the local max-cut takes it, and its
-cut counts, from the degree sums of its own passes.
+reads one degree list; the local max-cut takes the edge count and its
+cut counts from the degree sums of its own passes.
 """
 
 from __future__ import annotations
@@ -63,30 +63,24 @@ class StabilityReport:
         }
 
 
-def _inside(g: Graph, mask: int) -> int:
-    """Number of edges with both ends in the vertex set mask."""
-    return sum((g.adj[v] & mask).bit_count() for v in _bits(mask)) // 2
-
-
 def stability_partition(g: Graph) -> StabilityReport:
     """Split V into Y = N(v) and X = rest, for the lowest-indexed vertex v of
-    maximum degree.  Requires a triangle-free input."""
+    maximum degree.  Requires a triangle-free input, so Y is independent:
+    every edge at Y crosses the cut, and the degrees over Y count them."""
     witness = find_triangle(g)
     if witness is not None:
         raise NotTriangleFreeError(witness)
-    v = max(range(g.n), key=lambda u: (g.adj[u].bit_count(), -u))
+    deg = [row.bit_count() for row in g.adj]
+    v, m = deg.index(max(deg)), sum(deg) // 2
     y_mask = g.adj[v]
-    internal_x = _inside(g, ((1 << g.n) - 1) ^ y_mask)
-    internal_y = _inside(g, y_mask)
-    internal = internal_x + internal_y
-    m = g.m
+    cross = sum([deg[y] for y in _bits(y_mask)])
     return StabilityReport(
         n=g.n,
         m=m,
-        partition=Partition(g.n, y_mask, m - internal, internal),
+        partition=Partition(g.n, y_mask, cross, m - cross),
         deficit_k=g.n * g.n // 4 - m,
-        internal_x=internal_x,
-        internal_y=internal_y,
+        internal_x=m - cross,
+        internal_y=0,
     )
 
 

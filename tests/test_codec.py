@@ -1,6 +1,10 @@
 import random
+import tracemalloc
+from itertools import product
+from unittest import mock
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -211,3 +215,54 @@ def test_edge_list_matches_reference(data):
     assert _decode_outcome(bt.from_edge_list_text, data) == _decode_outcome(
         edge_list_reference, data
     )
+
+
+@pytest.mark.parametrize("window", [1, 5, 16])
+@settings(deadline=None, max_examples=200)
+@given(edge_list_like())
+@example("0 1\n2 2\n3 3\n")  # each window's first self-loop, the first one raising
+@example("0 1\r\r1 2\n")  # CR breaks with no line feed in reach: one window
+def test_edge_list_windows_match_reference(window, data):
+    """Small windows cut the fuzz texts into many: the same graph, or the
+    same error class, message and line, as in one window."""
+    with mock.patch.object(bt.codec, "_WINDOW", window):
+        assert _decode_outcome(bt.from_edge_list_text, data) == _decode_outcome(
+            edge_list_reference, data
+        )
+
+
+@pytest.mark.parametrize("window", range(3, 17))
+def test_edge_list_window_boundaries(window):
+    """Five-byte CRLF lines against every window size up to 16: a boundary
+    falls after some line, never inside a CRLF, and a bad line, or a
+    self-loop, on either side of it keeps its number."""
+    lines = [f"{i} {i + 1}\r\n" for i in range(9)]
+    with mock.patch.object(bt.codec, "_WINDOW", window):
+        g = bt.from_edge_list_text("".join(lines).encode("ascii"))
+        assert g == bt.from_edge_list(10, [(i, i + 1) for i in range(9)])
+        for k, bad in product(range(len(lines)), ["x 1\r\n", "4 4\r\n"]):
+            text = "".join(lines[:k] + [bad] + lines[k + 1:])
+            with pytest.raises(bt.EdgeListParseError) as exc:
+                bt.from_edge_list_text(text)
+            assert exc.value.line == k + 1
+            assert _decode_outcome(bt.from_edge_list_text, text) == _decode_outcome(
+                edge_list_reference, text
+            )
+
+
+def test_edge_list_memory_is_windowed():
+    """G(1024, 1/2) as a 2 MB edge list: the numpy temporaries are a
+    window's, so the peak is the text, the pairs and the n x n matrix
+    (34.0 MB of tracemalloc peak when the whole text was one window)."""
+    a = np.triu(np.random.default_rng(1).random((1024, 1024)) < 0.5, 1)
+    us, vs = np.nonzero(a)
+    text = "# n 1024\n" + "".join(f"{u} {v}\n" for u, v in zip(us.tolist(), vs.tolist()))
+    assert len(text) > 2 * 10**6
+    tracemalloc.start()
+    try:
+        g = bt.from_edge_list_text(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.m == len(us) and g.adj[0] == sum(1 << v for v in vs[us == 0].tolist())
+    assert peak < 16 * 2**20, peak

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import booktri as bt
+from booktri.graph import _row_bits, _set_row_bits
 from conftest import adjacency_sets, bits_of, complete, random_graph
 
 
@@ -162,3 +163,22 @@ def test_from_edge_list_accepts_what_add_edge_accepts():
     for u, v in pairs:
         g.add_edge(u, v)
     assert bt.from_edge_list(5, pairs) == g
+
+
+def test_row_conversions_across_the_word_boundary():
+    """Up to n = 64 a row crosses into numpy as one word, above it as bytes:
+    both ways agree with the rows' bits for every n on both sides, with the
+    top bit of a word set at n = 64 and the first bit past it at n = 65."""
+    rng = random.Random(5)
+    for n in range(1, 131):
+        g = random_graph(rng, n, rng.random())
+        if n > 1:
+            g.add_edge(0, n - 1)
+        bits = _row_bits(g.adj, n)
+        assert bits.shape == (n, n) and bits.dtype == bool
+        assert [np.flatnonzero(b).tolist() for b in bits] == [bits_of(row) for row in g.adj]
+        part = _row_bits(g.adj[::3], n)  # any subset of rows, as the class product reads
+        assert (part == bits[::3]).all()
+        back = _set_row_bits(bt.Graph(n), bits)
+        assert back.adj == g.adj and all(type(row) is int for row in back.adj)
+    assert _row_bits([1 << 63], 64)[0, 63] and _row_bits([1 << 64], 65)[0, 64]

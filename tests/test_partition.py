@@ -1,8 +1,9 @@
 import random
 from itertools import product
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import booktri as bt
@@ -292,3 +293,45 @@ def test_local_max_cut_never_decreases_cut():
             seed = partition_of(g, y_mask)
             part = bt.local_max_cut(g, seed)
             assert part.cross_edges >= seed.cross_edges
+
+
+def _split_by_edge_loops(g):
+    """v, m, the Y mask and the edges inside X, inside Y and across the
+    stability split, from plain loops over g.edges()."""
+    edges = list(g.edges())
+    deg = [0] * g.n
+    for u, w in edges:
+        deg[u] += 1
+        deg[w] += 1
+    v = min(u for u in range(g.n) if deg[u] == max(deg))
+    ys = {w for e in edges if v in e for w in e if w != v}
+    inside_y = sum(u in ys and w in ys for u, w in edges)
+    inside_x = sum(u not in ys and w not in ys for u, w in edges)
+    return v, len(edges), sum(1 << y for y in ys), inside_x, inside_y
+
+
+@pytest.mark.parametrize("block", [None, 4])
+@settings(deadline=None, max_examples=60)
+@given(n=st.integers(1, 130), p=st.floats(0, 1), minus_matching=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+@example(n=64, p=0.5, minus_matching=False, seed=1)
+@example(n=65, p=0.5, minus_matching=True, seed=1)
+@example(n=129, p=0.5, minus_matching=True, seed=2)
+def test_split_matches_edge_loops(block, n, p, minus_matching, seed):
+    """The split reads one degree list: v, m, internal_x (m less the
+    degrees over Y) and internal_y (0, as Y = N(v) is independent) against
+    pair-by-pair counts, on both sides of 64 and of the row block."""
+    rng = random.Random(seed)
+    if minus_matching and n > 1:
+        side = rng.randint(1, n - 1)
+        g = bipartite_minus_matching(rng, side, n - side)
+    else:
+        g = random_triangle_free(rng, n, p)
+    v, m, y_mask, inside_x, inside_y = _split_by_edge_loops(g)
+    with mock.patch.object(bt.analytics, "_BLOCK", block or bt.analytics._BLOCK):
+        report = bt.stability_partition(g)
+    assert report.m == m and report.partition.y_mask == y_mask == g.adj[v]
+    assert inside_y == report.internal_y == 0 and report.internal_x == inside_x
+    assert report.partition.cross_edges == m - inside_x
+    assert report.partition.internal_edges == inside_x
+    assert report.deficit_k == n * n // 4 - m
