@@ -18,7 +18,7 @@ import sys
 
 from .analytics import analyze_report
 from .codec import _HEADER, from_edge_list_text, from_graph6, to_graph6
-from .constructions import edwards_generalized, rademacher_extremal, theorem1_sharp
+from .constructions import FAMILIES
 from .errors import BooktriError
 from .graph import MAX_VERTICES, Graph
 from .partition import _rewire, stability_partition
@@ -139,17 +139,14 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_construct(args) -> int:
-    if args.kind == "rademacher":
-        report = rademacher_extremal(args.n)
-    elif args.alpha is None:
+    build, takes_alpha = FAMILIES[args.kind]
+    if takes_alpha and args.alpha is None:
         raise _UsageError(f"construct {args.kind} requires --alpha p/q")
-    else:
-        build = {"theorem1": theorem1_sharp, "edwards": edwards_generalized}[args.kind]
-        report = build(args.n, args.alpha)  # each family parses alpha itself
+    report = build(args.n, args.alpha) if takes_alpha else build(args.n)  # it parses alpha
     d = report.to_json_dict()  # measures (t, b) once, for the report and the check
     _dump(d, args.format, args.out)
     if args.graph_out:
-        _emit(to_graph6(report.graph) + "\n", args.graph_out)
+        _emit(d["graph6"] + "\n", args.graph_out)
     if (d["measured_t"], d["measured_b"]) != (d["predicted_t"], d["predicted_b"]):
         print("self-check failed: predictions disagree with measurements", file=sys.stderr)
         return EXIT_HYPOTHESIS
@@ -220,7 +217,7 @@ def _build_parser() -> _Parser:
     sp.set_defaults(fn=_cmd_analyze)
 
     sp = sub.add_parser("construct", help="generate an extremal construction")
-    sp.add_argument("kind", choices=("rademacher", "theorem1", "edwards"))
+    sp.add_argument("kind", choices=tuple(FAMILIES))
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--alpha", default=None, help="rational p/q (never a decimal)")
     sp.add_argument("--graph-out", default=None, help="also write bare graph6 here")

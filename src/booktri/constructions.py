@@ -14,6 +14,9 @@ consecutive vertices, and pattern edge ij a complete bipartite graph.
   {01, 02, 12, 34, 35, 45, 03, 14, 25}: the triangular prism, two complete
   tripartite sides with matching parts joined across.
 
+``FAMILIES`` lists them once, keyed by ``construct``'s kind; each row holds
+the builder and whether it takes alpha.  The CLI and the alpha sweep read it.
+
 The statistics come from the pattern alone: e = sum of w_i*w_j over the
 pattern edges, the book of edge ij is the weight of the common pattern
 neighbours of i and j, 3t = sum of w_i*w_j*book_ij, and b is the largest
@@ -186,6 +189,13 @@ def edwards_generalized(n: int, alpha) -> ConstructionReport:
         "edwards", n, alpha, sizes, sizes,
         [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (0, 3), (1, 4), (2, 5)],
     )
+
+
+FAMILIES = {  # kind -> (builder, takes alpha), in construct's choices order
+    "rademacher": (rademacher_extremal, False),
+    "theorem1": (theorem1_sharp, True),
+    "edwards": (edwards_generalized, True),
+}
 
 
 def predicted_vs_actual(report: ConstructionReport) -> bool:

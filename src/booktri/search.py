@@ -31,9 +31,9 @@ uniform.  A proposal reads its two draws by index: both halves of one word
 half (shifted).  Heuristic results are empirical upper bounds on the true
 minimum, never proofs.
 
-The alpha sweep tries every extremal family at each alpha.  Each family
-refuses the parameters outside its own domain, so the sweep keeps whatever
-fits the cap and needs no domain rules of its own.
+The alpha sweep tries every row of ``constructions.FAMILIES`` at each alpha
+and keeps what fits the cap.  Each family refuses the parameters outside its
+own domain, and at most one fits any (n, alpha), so the order picks no source.
 """
 
 from __future__ import annotations
@@ -48,14 +48,7 @@ import numpy as np
 
 from .analytics import _groups, _t_and_b
 from .codec import to_graph6
-from .constructions import (
-    ConstructionReport,
-    as_alpha,
-    edwards_generalized,
-    rademacher_extremal,
-    strict_book_cap,
-    theorem1_sharp,
-)
+from .constructions import FAMILIES, ConstructionReport, as_alpha, strict_book_cap
 from .errors import ExplosionGuardError, ParameterError
 from .graph import Graph, _row_bits, _set_row_bits
 
@@ -673,15 +666,17 @@ def alpha_sweep(
 ) -> list[SweepEntry]:
     """Best known t at floor(n^2/4)+1 edges under each book cap alpha*n/2.
 
-    For every alpha each family is tried (the two-sided tripartite blow-up,
-    the rewired-vertex graph, the bipartite-plus-edge graph).  A family
-    refuses the alphas and n outside its own domain, and the sweep keeps
-    every report whose book fits the cap; an alpha with none is reported
-    with source "none".  An annealing run seeded by the best in-class report
-    then tries to improve on them.  The tripartite family carries
-    floor(n^2/4) edges, one below the threshold class, so where it is the
-    only candidate annealing is skipped.  Entries are empirical upper bounds
-    only, never proofs of optimality.
+    For every alpha each row of ``constructions.FAMILIES`` is tried.  A
+    family refuses the alphas and n outside its own domain, and the sweep
+    keeps every report whose book fits the cap; an alpha with none is
+    reported with source "none".  At most one family fits (the tripartite
+    needs alpha < 1/2, the rewired vertex alpha > 1/2 and even n, the
+    bipartite-plus-edge graph odd n and alpha > (n-1)/n), so the table's
+    order never picks a source.  An annealing run seeded by the best
+    in-class report then tries to improve on them.  The tripartite family
+    carries floor(n^2/4) edges, one below the threshold class, so where it
+    is the only candidate annealing is skipped.  Entries are empirical upper
+    bounds only, never proofs of optimality.
     """
     Graph(n)  # refuses n outside 1..MAX_VERTICES before any family is tried
     AnnealParams(book_cap=1, budget=budget, seed=seed)  # and a bad budget or seed
@@ -693,13 +688,9 @@ def alpha_sweep(
             raise ParameterError(f"alpha must be in (1/3, 1), got {alpha}")
         cap = strict_book_cap(n, alpha)
         candidates: list[tuple[str, ConstructionReport]] = []
-        for build, args in (
-            (edwards_generalized, (n, alpha)),
-            (theorem1_sharp, (n, alpha)),
-            (rademacher_extremal, (n,)),
-        ):
+        for build, takes_alpha in FAMILIES.values():
             try:
-                report = build(*args)
+                report = build(n, alpha) if takes_alpha else build(n)
             except ParameterError:
                 continue
             if report.predicted_b < cap:

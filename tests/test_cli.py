@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import booktri as bt
 from booktri import cli
 from booktri.cli import main
+from booktri.constructions import FAMILIES
 from conftest import anneal_reference, complete, cycle, edge_list_like, graph6_like
 
 
@@ -89,7 +90,8 @@ def test_analyze_unreadable_path_exits_1(tmp_path, capsys, name):
 
 
 # each command with the output flag under test and the library call that does
-# its work; "@in.g6" is a triangle-free input
+# its work (for construct, the builder in its family table row); "@in.g6" is a
+# triangle-free input
 _OUT_COMMANDS = [
     (["analyze", "@in.g6", "--out"], "analyze_report"),
     (["construct", "rademacher", "--n", "10", "--out"], "rademacher_extremal"),
@@ -119,7 +121,10 @@ def test_bad_output_path_exits_before_work(tmp_path, capsys, monkeypatch, argv, 
     def worker_ran(*args, **kwargs):
         raise AssertionError(f"{worker} ran before its output path was checked")
 
-    monkeypatch.setattr(cli, worker, worker_ran)
+    if argv[0] == "construct":
+        monkeypatch.setitem(FAMILIES, argv[1], (worker_ran, FAMILIES[argv[1]][1]))
+    else:
+        monkeypatch.setattr(cli, worker, worker_ran)
     (tmp_path / "in.g6").write_text(bt.to_graph6(cycle(5)))
     (tmp_path / "dir").mkdir()
     (tmp_path / "file.el").write_text("0 1\n")
@@ -397,7 +402,7 @@ def test_construct_rademacher(capsys):
 def test_construct_self_check_failure_exits_3(monkeypatch, capsys):
     good = bt.rademacher_extremal(12)
     bad = dataclasses.replace(good, predicted_b=good.predicted_b + 1)
-    monkeypatch.setattr(cli, "rademacher_extremal", lambda n: bad)
+    monkeypatch.setitem(FAMILIES, "rademacher", (lambda n: bad, False))
     assert main(["construct", "rademacher", "--n", "12"]) == 3
     captured = capsys.readouterr()
     assert json.loads(captured.out)["measured_b"] == good.predicted_b
@@ -410,7 +415,38 @@ def test_construct_edwards_param_error(capsys):
 
 
 def test_construct_requires_alpha(capsys):
-    assert main(["construct", "theorem1", "--n", "20"]) == 1
+    """The families that take alpha refuse to run without it, with one exact
+    line (rademacher takes none: test_construct_rademacher runs it bare)."""
+    for kind, n in (("theorem1", "20"), ("edwards", "48")):
+        assert main(["construct", kind, "--n", n]) == cli.EXIT_USAGE
+        assert capsys.readouterr() == ("", f"error: construct {kind} requires --alpha p/q\n")
+
+
+def test_construct_usage_lists_the_family_table(capsys):
+    with pytest.raises(SystemExit) as done:
+        main(["construct", "--help"])
+    assert done.value.code == 0
+    # argparse wraps the usage, so read its whole block up to the blank line
+    usage = capsys.readouterr().out.partition("\n\n")[0]
+    assert usage.startswith("usage: booktri construct ")
+    assert "{rademacher,theorem1,edwards}" in usage
+
+
+def test_a_new_table_row_reaches_construct_and_sweep(monkeypatch, capsys):
+    """One row added to the family table is a construct kind and a sweep
+    source with no other edit.  At (40, 1/2) no real family fits the cap of
+    10; the new row's report, the tripartite graph at alpha 2/5 (b = 7),
+    does, and its builder's name is the sweep's source."""
+    def prism_at_two_fifths(n, alpha):
+        return bt.edwards_generalized(n, "2/5")
+
+    assert bt.alpha_sweep(40, ["1/2"], seed=1)[0].source == "none"
+    monkeypatch.setitem(FAMILIES, "prism", (prism_at_two_fifths, True))
+    assert main(["construct", "prism", "--n", "40", "--alpha", "1/2"]) == cli.EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert (report["kind"], report["alpha"], report["measured_b"]) == ("edwards", "2/5", 7)
+    (entry,) = bt.alpha_sweep(40, ["1/2"], seed=1)
+    assert (entry.source, entry.b_cap, entry.best_t) == ("prism_at_two_fifths", 10, 588)
 
 
 def test_construct_rejects_decimal_alpha(capsys):
@@ -425,6 +461,8 @@ def test_construct_graph_out(tmp_path, capsys):
     ]) == 0
     g = bt.from_graph6(g6_path.read_text().strip())
     assert g.n == 48
+    report = json.loads((tmp_path / "rep.json").read_text())
+    assert g6_path.read_bytes() == (report["graph6"] + "\n").encode("ascii")
 
 
 def test_frontier_exhaustive(tmp_path, capsys):

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import booktri as bt
+from booktri.constructions import FAMILIES
 from conftest import (
     anneal_reference,
     brute_max_book,
@@ -776,3 +777,23 @@ def test_family_domains_cover_sweep_guards():
                     continue
                 assert not refuses, (build.__name__, n, alpha)
                 assert report.predicted_b < cap, (build.__name__, n, alpha)
+
+
+def test_family_table_order_never_picks_a_source():
+    """At every point the least predicted t among the family table's rows
+    that fit the cap is reached by one row only, so alpha_sweep's min never
+    breaks a tie and the table's order cannot change a source."""
+    for n in range(1, 65):
+        for p in range(34, 100):  # alpha = p/100 in (1/3, 1)
+            alpha = Fraction(p, 100)
+            cap = bt.strict_book_cap(n, alpha)
+            fits = []
+            for build, takes_alpha in FAMILIES.values():
+                try:
+                    report = build(n, alpha) if takes_alpha else build(n)
+                except bt.ParameterError:
+                    continue
+                if report.predicted_b < cap:
+                    fits.append((report.predicted_t, build.__name__))
+            least = [name for t, name in fits if t == min(fits)[0]]
+            assert len(least) <= 1, (n, alpha, least)
