@@ -140,8 +140,9 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_construct(args) -> int:
     build, takes_alpha = FAMILIES[args.kind]
-    if takes_alpha and args.alpha is None:
-        raise _UsageError(f"construct {args.kind} requires --alpha p/q")
+    if takes_alpha == (args.alpha is None):
+        need = "requires --alpha p/q" if takes_alpha else "takes no --alpha"
+        raise _UsageError(f"construct {args.kind} {need}")
     report = build(args.n, args.alpha) if takes_alpha else build(args.n)  # it parses alpha
     d = report.to_json_dict()  # measures (t, b) once, for the report and the check
     _dump(d, args.format, args.out)

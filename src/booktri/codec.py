@@ -4,9 +4,9 @@ graph6 packs the upper triangle of the adjacency matrix column by column
 (bit (u, v) for u < v, columns v = 1..n-1) into 6-bit groups, padded with
 zero bits, each group stored as one printable byte (value + 63).  The
 vertex count is one byte (n + 63) for n <= 62, otherwise '~' followed by
-three bytes holding an 18-bit big-endian count.  Both directions work on
-the whole boolean adjacency matrix, whose strict lower triangle in row-major
-order is exactly graph6's bit order.
+three bytes holding an 18-bit big-endian count.  So the payload is base64
+of the adjacency matrix's strict lower triangle in row-major order, with the
+6-bit values shifted to bytes 63..126: binascii packs and unpacks it.
 
 The edge-list format is one "u v" pair per line, 0-based.  Lines starting
 with '#' are comments; the writer emits "# n <count>" first so graphs with
@@ -22,24 +22,29 @@ order, so errors name the first bad line.
 
 from __future__ import annotations
 
+import binascii
+
 import numpy as np
 
 from .errors import EdgeListParseError, Graph6ParseError
 from .graph import Graph, _row_bits, _set_row_bits
 
 _HEADER = b">>graph6<<"
+_G6 = bytes(range(63, 127))  # graph6's bytes for the 6-bit values 0..63
+_B64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"  # base64's
+_TO_G6, _TO_B64 = bytes.maketrans(_B64, _G6), bytes.maketrans(_G6, _B64)
 
 
 def to_graph6(g: Graph) -> str:
+    """The count, then binascii's base64 of the lower-triangle bits shifted to 63..126."""
     n = g.n
     if n <= 62:
         header = bytes([n + 63])
     else:
         header = bytes([126, (n >> 12) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63])
     bits = _row_bits(g.adj, n)[np.tri(n, k=-1, dtype=bool)]
-    groups = np.concatenate((bits, np.zeros(-len(bits) % 6, dtype=bool))).reshape(-1, 6)
-    payload = (np.packbits(groups, axis=1) >> 2) + 63
-    return (header + payload.tobytes()).decode("ascii")
+    b64 = binascii.b2a_base64(np.packbits(bits).tobytes(), newline=False)
+    return (header + b64[:(len(bits) + 5) // 6].translate(_TO_G6)).decode("ascii")
 
 
 def from_graph6(data: str | bytes) -> Graph:
@@ -96,13 +101,12 @@ def from_graph6(data: str | bytes) -> Graph:
     if len(payload) > expect:
         raise Graph6ParseError("trailing bytes after payload", pos + expect)
 
-    groups = np.frombuffer(payload, dtype=np.uint8) - 63
-    bad = np.flatnonzero(groups > 63)  # bytes outside 63..126 wrap above 63
-    if bad.size:
-        i = int(bad[0])
-        raise Graph6ParseError(f"non-printable payload byte {payload[i]:#04x}", pos + i)
-    bits = np.unpackbits(groups[:, None], axis=1)[:, 2:].ravel()
-    if bits[nbits:].any():  # padding lives in the last byte
+    if bad := payload.translate(None, _G6):  # the bytes outside 63..126, in order
+        i = payload.index(bad[0])
+        raise Graph6ParseError(f"non-printable payload byte {bad[0]:#04x}", pos + i)
+    b64 = payload.translate(_TO_B64) + b"A" * (-expect % 4)  # "A" is base64's 0
+    bits = np.unpackbits(np.frombuffer(binascii.a2b_base64(b64), dtype=np.uint8))
+    if bits[nbits:6 * expect].any():  # padding lives in the last byte
         raise Graph6ParseError("nonzero padding bits", pos + expect - 1)
     matrix = np.zeros((n, n), dtype=bool)
     matrix[np.tri(n, k=-1, dtype=bool)] = bits[:nbits]

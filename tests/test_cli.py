@@ -422,6 +422,17 @@ def test_construct_requires_alpha(capsys):
         assert capsys.readouterr() == ("", f"error: construct {kind} requires --alpha p/q\n")
 
 
+def test_construct_refuses_alpha_it_does_not_take(capsys, tmp_path):
+    """A family that takes no alpha refuses one rather than dropping it, with
+    one exact line and before any output file is written."""
+    out = tmp_path / "r.json"
+    for alpha in ("3/4", "bogus"):
+        assert main(["construct", "rademacher", "--n", "11", "--alpha", alpha,
+                     "--out", str(out)]) == cli.EXIT_USAGE
+        assert capsys.readouterr() == ("", "error: construct rademacher takes no --alpha\n")
+    assert not out.exists()
+
+
 def test_construct_usage_lists_the_family_table(capsys):
     with pytest.raises(SystemExit) as done:
         main(["construct", "--help"])

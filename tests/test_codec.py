@@ -136,6 +136,36 @@ def test_graph6_matches_reference_encoder(g):
     assert back == g and back.m == g.m
 
 
+# n = 131..167 meets every residue C(n, 2) mod 24 can take (24 bits fill one
+# base64 quartet, four graph6 bytes); 1023 and 1024 are the largest graphs
+_LARGE_N = (*range(131, 168), 400, 1023, 1024)
+
+
+def test_graph6_at_large_n_matches_reference():
+    """Encode, decode and the errors at the payload's end agree with the
+    per-bit reference for every quartet phase, at densities 0, 1/2 and 1."""
+    assert {n * (n - 1) // 2 % 24 for n in _LARGE_N} == {
+        n * (n - 1) // 2 % 24 for n in range(48)}
+    rng = random.Random(32)
+    for n in _LARGE_N:
+        for g in (bt.Graph(n), random_graph(rng, n, 0.5), complete(n)):
+            s = graph6_reference_encode(g).encode("ascii")
+            assert bt.to_graph6(g) == s.decode("ascii")
+            back = bt.from_graph6(s)
+            assert back == g and back.m == g.m
+            corrupt = []
+            if n * (n - 1) // 2 % 6:  # the last byte's lowest bit is padding
+                corrupt.append(s[:-1] + bytes([(s[-1] - 63 | 1) + 63]))
+            # a byte outside 63..126 at each of the last four payload bytes,
+            # every position of the last quartet, however short it is
+            for k, bad in zip(range(4, 0, -1), b"\x00>\x7f\xff"):
+                corrupt.append(s[:-k] + bytes([bad]) + s[len(s) - k + 1:])
+            for data in corrupt:
+                want = _decode_outcome(graph6_reference_decode, data)
+                assert want[0] is bt.Graph6ParseError
+                assert _decode_outcome(bt.from_graph6, data) == want
+
+
 def _decode_outcome(decode, *args):
     """The graph decoded, or the error's class, message and position."""
     try:
