@@ -675,6 +675,11 @@ GOLDEN_COMMANDS = {
         "stability {golden}/c5_blowup_200.g6 --rewire --format json",
     "stability_rewire_c5_blowup_200_g6.csv":
         "stability {golden}/c5_blowup_200.g6 --rewire --format csv",
+    # G(300, 1/2), its strict upper triangle drawn as
+    # np.random.default_rng(1).random((300, 300)) < 0.5: 300 distinct rows,
+    # so the row product, whose edges span three 128-row blocks; its largest
+    # book, at [202, 208], lies in the second block
+    "analyze_gnp_300_seed1_g6.json": "analyze {golden}/gnp_300_seed1.g6",
 }
 for _fmt in ("json", "csv"):
     GOLDEN_COMMANDS.update({
