@@ -4,11 +4,12 @@ The book of an edge is the set of triangles through it; its size equals the
 number of common neighbors of the endpoints.  Everything here is a pure
 function of an immutable graph.  Edge uv's book is (A^2)_uv, read off a
 float32 Gram product.  Every whole-graph statistic but book_profile reads
-``_codegree_chunks``, groups of edges that share a book, one per adjacent
-pair of twin classes or one per edge; book_profile lists every edge off the
-row product, ``_row_chunks``, and find_triangle reads the row product's
-books block by block, ``_row_blocks``, without listing edges.  That is
-exact: terms are 0 or 1, so every partial sum is an integer <= n < 2^24.
+``_groups``, groups of edges that share a book: one per adjacent pair of
+twin classes, ``_class_chunk``, or else one per edge, ``_row_edges``;
+book_profile lists every edge off the row product, ``_row_edges``, and
+find_triangle reads the row product's books block by block,
+``_row_blocks``, without listing edges.  That is exact: terms are 0 or 1,
+so every partial sum is an integer <= n < 2^24.
 """
 
 from __future__ import annotations
@@ -58,15 +59,6 @@ def _class_chunk(g: Graph):
     return reps[i], reps[j], (a @ a.T)[i, j].astype(np.int64), size[i] * size[j]
 
 
-def _codegree_chunks(g: Graph):
-    """The edges u < v as groups (u, v, c, w), so a caller may stop early:
-    (u, v) is a group's lexicographically first edge, c the book that all
-    its w edges share, and groups come in first-edge order.  The class
-    chunk, or else _row_chunks."""
-    chunk = _class_chunk(g)
-    return _row_chunks(g) if chunk is None else iter([chunk])
-
-
 def _row_blocks(g: Graph):
     """The row product, lazily: per block of _BLOCK rows from r, (r, bits,
     books), the block's (rows, r:) window of the adjacency matrix and of its
@@ -77,22 +69,25 @@ def _row_blocks(g: Graph):
         yield r, bits[r:r + _BLOCK, r:], a[r:r + _BLOCK] @ a[:, r:]
 
 
-def _row_chunks(g: Graph):
-    """Every edge u < v as a group of one, lazily: one chunk (u, v, c, None)
-    per block of _BLOCK rows, edges in lexicographic order."""
+def _row_edges(g: Graph) -> tuple:
+    """Every edge u < v off the row product, as int64 arrays (u, v, c) in
+    lexicographic order, c its book; no block's matrices are held at the join."""
     order = np.arange(g.n)
-    for r, bits, books in _row_blocks(g):
+
+    def edges(r, bits, books):
         idx = np.flatnonzero(bits & (order[r:r + _BLOCK, None] < order[r:]))
         u, v = np.divmod(idx, g.n - r)
-        yield u + r, v + r, books.ravel()[idx].astype(np.int64), None
+        return u + r, v + r, books.ravel()[idx].astype(np.int64)
+    return tuple(map(np.concatenate, zip(*[edges(*block) for block in _row_blocks(g)])))
 
 
 def _groups(g: Graph) -> tuple:
-    """All of _codegree_chunks' groups as (u, v, c) arrays, and hist: hist[s]
-    edges have book s, and its last entry is nonzero unless g is edgeless."""
-    u, v, c, w = zip(*_codegree_chunks(g))
-    u, v, c = map(np.concatenate, (u, v, c))  # w[-1]: the class path's one chunk, or None
-    return u, v, c, np.bincount(c, w[-1]).astype(np.int64, copy=False)
+    """The edges u < v as int64 arrays (u, v, c) of groups in first-edge
+    order, one per adjacent pair of classes or else per edge: (u, v) is a
+    group's lexicographically first edge, c its edges' shared book.  hist[s]
+    edges have book s; its last entry is nonzero unless g is edgeless."""
+    u, v, c, w = _class_chunk(g) or (*_row_edges(g), None)
+    return u, v, c, np.bincount(c, w).astype(np.int64, copy=False)
 
 
 def _t_and_b(hist: np.ndarray) -> tuple[int, int]:
@@ -111,8 +106,7 @@ def triangle_count(g: Graph) -> int:
 def book_profile(g: Graph) -> dict[tuple[int, int], int]:
     """Every edge's book as {(u, v): book}, u < v in lexicographic order;
     {} for an edgeless graph."""
-    u, v, c, _ = zip(*_row_chunks(g))
-    u, v, c = map(np.concatenate, (u, v, c))
+    u, v, c = _row_edges(g)
     return dict(zip(zip(u.tolist(), v.tolist()), c.tolist()))
 
 

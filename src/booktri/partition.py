@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .analytics import find_triangle
-from .errors import NotTriangleFreeError, ParameterError
+from .errors import NotTriangleFreeError
 from .graph import Graph, _bits
 
 
@@ -132,8 +132,8 @@ def bipartize_rewire(g: Graph) -> Graph:
     return _rewire(g, stability_partition(g))
 
 
-def local_max_cut(g: Graph, seed: Partition | None = None) -> Partition:
-    """Improve a partition by single-vertex flips until none helps.
+def local_max_cut(g: Graph) -> Partition:
+    """Start with every vertex in X and flip single vertices until none helps.
 
     Each pass visits the vertices in index order and flips every vertex
     whose flip improves the cut at that moment; passes repeat until one
@@ -142,12 +142,9 @@ def local_max_cut(g: Graph, seed: Partition | None = None) -> Partition:
     cross_edges by at least 1, so there are at most m improving passes,
     which an assertion checks.  Each pass also sums the degrees (2m) and the
     cross neighbors; the last pass moves nothing, so its sums are the final
-    counts.  Defaults to the all-X start; a seed must be a split of g's
-    own vertices.
+    counts.  It takes no seed.
     """
-    if seed is not None and (seed.n != g.n or not 0 <= seed.y_mask < 1 << g.n):
-        raise ParameterError(f"seed n={seed.n}, y_mask={seed.y_mask} does not split {g.n} vertices")
-    y_mask = seed.y_mask if seed is not None else 0
+    y_mask = 0
     full = (1 << g.n) - 1
     improving_passes = 0
     while True:

@@ -217,17 +217,22 @@ def _group_edges(g, x, y, w):
     return [(min(p, q), max(p, q)) for p in xs for q in ys]
 
 
+def _kernel_groups(g):
+    """The kernel's groups as arrays (u, v, c, w): the class chunk's, with
+    its weights, or else one per edge off the row product, w None (weight 1)."""
+    return bt.analytics._class_chunk(g) or (*bt.analytics._row_edges(g), None)
+
+
 def _assert_groups_match_oracles(g):
     """The grouped kernel against per-edge oracles: the groups' edges are
-    exactly g's edges, each once and with its group's book, and every count
-    and answer read off the groups equals the brute one."""
+    exactly g's edges, each once and with its group's book, _groups hands
+    out the same groups, and every count and answer read off the groups
+    equals the brute one."""
     books = brute_book_sizes(g)
-    groups = [
-        (x, y, c, w)
-        for u, v, cs, ws in bt.analytics._codegree_chunks(g)
-        for x, y, c, w in zip(u.tolist(), v.tolist(), cs.tolist(),
-                              [None] * cs.size if ws is None else ws.tolist())
-    ]
+    u, v, cs, ws = _kernel_groups(g)
+    assert all(np.array_equal(a, b) for a, b in zip(bt.analytics._groups(g), (u, v, cs)))
+    groups = list(zip(u.tolist(), v.tolist(), cs.tolist(),
+                      [None] * cs.size if ws is None else ws.tolist()))
     firsts = [(x, y) for x, y, _, _ in groups]
     assert firsts == sorted(set(firsts))  # in first-edge order, each once
     covered = []
@@ -253,18 +258,17 @@ def _assert_groups_match_oracles(g):
 
 
 def _assert_kernel_matches_oracles(g):
-    """The grouped kernel as above, with the chunking its path promises, and
-    book_profile's per-edge listing against per-edge popcounts."""
+    """The grouped kernel as above, on the path g's size and rows promise,
+    and book_profile's per-edge listing against per-edge popcounts."""
     _assert_groups_match_oracles(g)
     block = bt.analytics._BLOCK
-    chunks = list(bt.analytics._codegree_chunks(g))
-    assert all(c.dtype == np.int64 for _, _, c, _ in chunks)
-    if block < g.n and len(set(g.adj)) <= block:  # the class path: one chunk
-        assert len(chunks) == 1 and chunks[0][3].dtype == np.int64
-    else:  # the row path: one chunk per block, each holding its own rows
-        assert len(chunks) == -(-g.n // block)
-        for r, (cu, _, _, w) in zip(range(0, g.n, block), chunks):
-            assert ((r <= cu) & (cu < r + block)).all() and w is None
+    # the class path exactly when g spans more than one block and has at
+    # most a block of distinct rows
+    class_path = block < g.n and len(set(g.adj)) <= block
+    assert (bt.analytics._class_chunk(g) is not None) == class_path
+    u, v, c, w = _kernel_groups(g)
+    assert all(a.dtype == np.int64 for a in (u, v, c))
+    assert (w.dtype == np.int64) if class_path else w is None
     edges = list(g.edges())
     books = bt.book_profile(g)
     assert list(books) == edges
@@ -277,9 +281,10 @@ def test_find_triangle_across_chunks(minus_matching):
     """K_{R,R} on 0..2R-1, with R the kernel's row block, plus edges among
     the three vertices after it.  Whole, it has a handful of twin classes and
     takes the class path, one chunk of groups; minus a perfect matching its
-    rows are distinct and it takes the row path, where the first block holds
-    exactly its own R*(R-1) triangle-free edges and the second block none.
-    What comes after decides whether, and where, a triangle is found."""
+    rows are distinct and it takes the row path, where the first block's rows
+    hold exactly their own R*(R-1) triangle-free edges and the second
+    block's none.  What comes after decides whether, and where, a triangle
+    is found."""
     block = bt.analytics._BLOCK
     base = [(i, j) for i in range(block) for j in range(block, 2 * block)]
     if minus_matching:
@@ -291,15 +296,13 @@ def test_find_triangle_across_chunks(minus_matching):
         ([(0, 1), (a, b)], (0, 1, block + 2 * minus_matching)),
     ):
         g = bt.from_edge_list(2 * block + 3, base + extra)
-        chunks = list(bt.analytics._codegree_chunks(g))
+        assert (bt.analytics._class_chunk(g) is None) == minus_matching
         if minus_matching:
-            u, v, books, w = chunks[0]
+            u, v, books = bt.analytics._row_edges(g)
             first = [(x, y) for x, y in extra if x < block]
-            assert len(chunks) == 3 and w is None
-            assert list(zip(u.tolist(), v.tolist())) == sorted(base + first)
-            assert books.any() == bool(first)
-        else:
-            assert len(chunks) == 1
+            head = u < block  # the edges of the first block's rows
+            assert list(zip(u[head].tolist(), v[head].tolist())) == sorted(base + first)
+            assert books[head].any() == bool(first)
         _assert_kernel_matches_oracles(g)
         assert bt.find_triangle(g) == _first_triangle_full_kernel(g) == expected
 
@@ -398,7 +401,7 @@ def test_kernel_twin_classes_at_block_boundary():
     _assert_kernel_matches_oracles(g)
     # an edgeless graph above one block is a single class with a zero row
     g = bt.Graph(200)
-    (u, v, c, w), = bt.analytics._codegree_chunks(g)
+    u, v, c, w = bt.analytics._class_chunk(g)
     assert u.size == v.size == c.size == w.size == 0
     assert bt.analyze_report(g) == {
         "n": 200, "m": 0, "t": 0, "b": None, "max_edge": None, "histogram": {},

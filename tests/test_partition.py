@@ -207,27 +207,26 @@ def test_partition_counts():
     part = partition_of(g, 0b0011)
     assert part.cross_edges == 4 and part.internal_edges == 2
     assert part.cross_edges + part.internal_edges == g.m
-    assert bt.local_max_cut(g, part) == part  # a 2+2 split of K4 is a local optimum
+    # from all-X, vertices 0 and 1 flip and the 2+2 split of K4 stays put
+    assert bt.local_max_cut(g) == part
 
 
 def test_split_masks_must_fit_the_graph():
-    """A seed for another vertex count, or a mask with bits outside 0..n-1,
-    is refused rather than yielding sides with vertices the graph lacks."""
+    """local_max_cut takes no seed, so no split that misfits the graph can
+    reach it: passing one is a TypeError, by position or by name."""
     g = complete(4)
-    other = partition_of(bt.complete_bipartite(4, 4), 0b11110011)
-    with pytest.raises(bt.ParameterError, match=r"^seed n=8, y_mask=243 does not split 4 vertices$"):
-        bt.local_max_cut(g, other)
-    for mask in (-4, 1 << 4, 0b110011):
-        with pytest.raises(bt.ParameterError):
-            bt.local_max_cut(g, bt.Partition(4, mask, 0, 0))
-    assert bt.local_max_cut(g, partition_of(g, 0b1111)).cross_edges == 4
+    part = partition_of(g, 0b0011)
+    with pytest.raises(TypeError):
+        bt.local_max_cut(g, part)
+    with pytest.raises(TypeError):
+        bt.local_max_cut(g, seed=part)
 
 
 def test_local_max_cut_bipartite_optimum():
-    g = bt.complete_bipartite(5, 5)
-    seed = partition_of(g, ((1 << 5) - 1) << 5)
-    part = bt.local_max_cut(g, seed)
-    assert part.y_mask == seed.y_mask
+    # from all-X, each of 0..4 has all its neighbours on its own side and
+    # flips, and each of 5..9 then has all of them across
+    part = bt.local_max_cut(bt.complete_bipartite(5, 5))
+    assert part.y_mask == 0b11111
     assert part.cross_edges == 25
 
 
@@ -242,10 +241,9 @@ def test_local_max_cut_k4():
 
 
 def test_local_max_cut_empty_graph():
-    g = bt.Graph(6)
-    seed = partition_of(g, 0b010101)
-    part = bt.local_max_cut(g, seed)
-    assert part.y_mask == seed.y_mask
+    part = bt.local_max_cut(bt.Graph(6))
+    assert part.y_mask == 0
+    assert part.cross_edges == part.internal_edges == 0
 
 
 def test_local_max_cut_contract():
@@ -264,35 +262,30 @@ def test_local_max_cut_contract():
 
 
 @settings(deadline=None)
-@given(graphs(max_n=24), st.integers(min_value=0))
-def test_local_max_cut_counts_match_recount(g, seed_bits):
+@given(graphs(max_n=24))
+def test_local_max_cut_counts_match_recount(g):
     """The counts summed over the cut's last pass equal a recount of its
-    final sides, from the all-X start and from a drawn seed."""
-    for seed in (None, partition_of(g, seed_bits % (1 << g.n))):
-        part = bt.local_max_cut(g, seed)
-        assert part == partition_of(g, part.y_mask)
+    final sides."""
+    part = bt.local_max_cut(g)
+    assert part == partition_of(g, part.y_mask)
 
 
 def test_local_max_cut_deterministic():
     rng = random.Random(4)
     g = random_graph(rng, 20, 0.5)
-    for seed_mask in (0, 0b1010101010):
-        seed = partition_of(g, seed_mask)
-        a = bt.local_max_cut(g, seed)
-        b = bt.local_max_cut(g, seed)
-        assert a == b
+    assert bt.local_max_cut(g) == bt.local_max_cut(g)
 
 
 def test_local_max_cut_never_decreases_cut():
+    """The fixed point cuts at least half the edges: each vertex has at
+    least as many neighbours across as on its own side, and summing over
+    the vertices gives 2 * cut >= m."""
     rng = random.Random(12)
     for _ in range(100):
         g = random_graph(rng, rng.randint(2, 30), rng.random())
-        for y_mask, _ in zip(
-            (rng.getrandbits(g.n) for _ in range(3)), range(3)
-        ):
-            seed = partition_of(g, y_mask)
-            part = bt.local_max_cut(g, seed)
-            assert part.cross_edges >= seed.cross_edges
+        part = bt.local_max_cut(g)
+        assert part.cross_edges + part.internal_edges == g.m
+        assert 2 * part.cross_edges >= g.m
 
 
 def _split_by_edge_loops(g):
